@@ -203,7 +203,7 @@ void BM_Overload_Storm(benchmark::State& state) {
                                ? interactive_deadline_s
                                : batch_deadline_s);
         }
-        return handle.db->ReadRegion(ctx, id, spec.region);
+        return handle.db->ReadRegion(id, spec.region, ctx);
       }();
       const double sojourn_s = tape->Now() - arrival_s +
                                (handle.db->ClientSeconds() - client_before);

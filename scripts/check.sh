@@ -43,8 +43,15 @@
 # ~30s of execution. Crashers found by longer libFuzzer runs land in
 # fuzz/corpus/*/regress_* and are re-executed here forever.
 #
+# --perfbench-smoke builds the repo benchmark (perfbench/, which compiles
+# src/ on its own) into build/perfbench and runs every workload briefly,
+# untraced and traced, failing on a non-zero exit (a build error, a wrong
+# answer or a missing metric). Like --bench-smoke it proves the harness
+# still builds and runs; the numbers are not gated.
+#
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--bench-smoke] [--faults]
 #                         [--analyze] [--ubsan] [--overload] [--fuzz-smoke]
+#                         [--perfbench-smoke]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,6 +64,7 @@ RUN_ANALYZE=0
 RUN_UBSAN=0
 RUN_OVERLOAD=0
 RUN_FUZZ_SMOKE=0
+RUN_PERFBENCH_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) RUN_ASAN=0 ;;
@@ -67,6 +75,7 @@ for arg in "$@"; do
     --ubsan) RUN_UBSAN=1 ;;
     --overload) RUN_OVERLOAD=1 ;;
     --fuzz-smoke) RUN_FUZZ_SMOKE=1 ;;
+    --perfbench-smoke) RUN_PERFBENCH_SMOKE=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -257,6 +266,15 @@ if [[ "$RUN_BENCH_SMOKE" == 1 ]]; then
   else
     echo "-- no bench/baselines/ yet; skipping trajectory gate"
   fi
+fi
+
+if [[ "$RUN_PERFBENCH_SMOKE" == 1 ]]; then
+  echo "== perfbench smoke =="
+  for trace in 0 1; do
+    echo "-- perfbench/run.py --workload all --trace $trace"
+    CARGO_TARGET_DIR=build python3 perfbench/run.py --workload all --seed 1 \
+        --seconds 2 --trace "$trace"
+  done
 fi
 
 echo "== all checks passed =="

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/coding.h"
-#include "common/thread_pool.h"
 
 namespace heaven {
 
@@ -101,7 +100,7 @@ uint64_t MetricsRegistry::samples_taken() const {
   return samples_taken_;
 }
 
-void MetricsRegistry::StartSampler(double interval_seconds, ThreadPool* pool) {
+void MetricsRegistry::StartSampler(double interval_seconds) {
   interval_seconds = std::max(interval_seconds, 1e-3);
   {
     MutexLock lock(mu_);
@@ -109,8 +108,8 @@ void MetricsRegistry::StartSampler(double interval_seconds, ThreadPool* pool) {
     sampler_running_ = true;
     sampler_stop_ = false;
   }
-  sampler_ = std::thread(
-      [this, interval_seconds, pool] { SamplerLoop(interval_seconds, pool); });
+  sampler_ =
+      std::thread([this, interval_seconds] { SamplerLoop(interval_seconds); });
 }
 
 void MetricsRegistry::StopSampler() {
@@ -134,17 +133,11 @@ bool MetricsRegistry::sampler_running() const {
   return sampler_running_;
 }
 
-void MetricsRegistry::SamplerLoop(double interval_seconds, ThreadPool* pool) {
+void MetricsRegistry::SamplerLoop(double interval_seconds) {
   MutexLock lock(mu_);
   while (!sampler_stop_) {
     lock.Unlock();
-    if (pool != nullptr) {
-      // Route the sampling work through the pool so it contends like any
-      // other task; block so at most one tick is ever in flight.
-      pool->Submit([this] { SampleOnce(); }).get();
-    } else {
-      SampleOnce();
-    }
+    SampleOnce();
     lock.Lock();
     if (sampler_stop_) break;
     sampler_cv_.WaitFor(lock, interval_seconds);

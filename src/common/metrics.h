@@ -17,8 +17,6 @@
 
 namespace heaven {
 
-class ThreadPool;
-
 /// One "key=value" dimension attached to a gauge (medium, shard, policy,
 /// drive, site, ...). Kept as an ordered vector so exposition output is
 /// stable across runs.
@@ -69,15 +67,12 @@ class MetricsRegistry {
   size_t SampleOnce();
 
   /// Samples taken so far (each SampleOnce call counts one, whether run
-  /// inline, from the sampler thread, or via the pool).
+  /// inline or from the sampler thread).
   uint64_t samples_taken() const;
 
   /// Starts a background thread sampling every `interval_seconds` (wall
-  /// clock; clamped to >= 1ms). When `pool` is non-null each tick submits
-  /// SampleOnce to the pool instead of running it on the sampler thread,
-  /// so sampling latency shows up as pool load like any other task.
-  /// No-op if already running.
-  void StartSampler(double interval_seconds, ThreadPool* pool = nullptr);
+  /// clock; clamped to >= 1ms). No-op if already running.
+  void StartSampler(double interval_seconds);
 
   /// Stops and joins the sampler thread. Safe to call when not running.
   void StopSampler();
@@ -108,7 +103,7 @@ class MetricsRegistry {
     bool sampled = false;
   };
 
-  void SamplerLoop(double interval_seconds, ThreadPool* pool);
+  void SamplerLoop(double interval_seconds);
 
   std::atomic<Statistics*> stats_;
   mutable Mutex mu_ ACQUIRED_BEFORE("TraceCollector::mu_");

@@ -6,7 +6,6 @@ namespace heaven {
 
 ThreadPool::ThreadPool(size_t num_threads, TraceCollector* trace)
     : trace_(trace) {
-  num_threads = std::max<size_t>(num_threads, 1);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -23,6 +22,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
+  if (workers_.empty()) {
+    // The submitter's own span stack already parents any span the task
+    // opens, so no ambient-parent handoff is needed.
+    task();
+    return;
+  }
   if (trace_ != nullptr && trace_->enabled()) {
     const SpanId parent = trace_->CurrentSpanId();
     if (parent != 0) {
@@ -54,7 +59,6 @@ void ThreadPool::WorkerLoop() {
     {
       MutexLock lock(mu_);
       --active_;
-      ++completed_;
     }
   }
 }
@@ -67,11 +71,6 @@ size_t ThreadPool::QueueDepth() const {
 size_t ThreadPool::ActiveWorkers() const {
   MutexLock lock(mu_);
   return active_;
-}
-
-uint64_t ThreadPool::TasksCompleted() const {
-  MutexLock lock(mu_);
-  return completed_;
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {

@@ -26,12 +26,16 @@ namespace heaven {
 /// the ambient parent on the worker, so spans opened inside pool tasks hang
 /// below the span that enqueued them instead of forming orphan roots.
 ///
+/// A pool with zero workers runs every task inline on the submitting
+/// thread, in submission order.
+///
 /// The destructor drains the queue and joins all workers (graceful
 /// shutdown); callers that need task results must keep the returned futures
 /// and wait on them before their captured state goes out of scope.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (at least one). `trace` may be null.
+  /// Spawns `num_threads` workers (zero: tasks run inline). `trace` may be
+  /// null.
   explicit ThreadPool(size_t num_threads, TraceCollector* trace = nullptr);
   ~ThreadPool();
 
@@ -46,8 +50,6 @@ class ThreadPool {
   /// Workers currently executing a task (sampled gauge `pool.active`;
   /// utilization = active / num_threads).
   size_t ActiveWorkers() const;
-  /// Tasks completed since construction.
-  uint64_t TasksCompleted() const;
 
   /// Enqueues `fn` and returns a future for its result. `fn` must not
   /// acquire locks held by threads that wait on the returned future.
@@ -71,7 +73,8 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  /// Wraps the task with ambient-parent trace propagation and queues it.
+  /// Wraps the task with ambient-parent trace propagation and queues it;
+  /// runs it right away when the pool has no workers.
   void Enqueue(std::function<void()> task);
 
   TraceCollector* trace_;  // analyze: unguarded(internally locked)
@@ -80,7 +83,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   size_t active_ GUARDED_BY(mu_) = 0;
-  uint64_t completed_ GUARDED_BY(mu_) = 0;
   /// Created in the constructor, joined in the destructor; never resized
   /// while workers run.
   std::vector<std::thread> workers_;  // analyze: unguarded(ctor/dtor only)

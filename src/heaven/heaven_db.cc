@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "array/cell_type.h"
@@ -56,7 +57,7 @@ Result<std::map<ObjectId, CurveKind>> DeserializeCurves(
 }
 
 /// Marks a mutator in progress for the snapshot conflict-retry gate (see
-/// ReadWithSnapshotRetry): a conflict-shaped read error is retried only
+/// RunQuery): a conflict-shaped read error is retried only
 /// while a mutator runs or after a version advanced, so serial workloads
 /// keep the exact legacy error surface and never retry.
 class ScopedMutator {
@@ -136,9 +137,9 @@ Status HeavenDb::Init() {
   if (num_threads == 0) {
     num_threads = std::max<size_t>(std::thread::hardware_concurrency(), 1);
   }
-  if (num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_threads, stats_.trace());
-  }
+  // One thread is the caller alone: a zero-worker pool runs tasks inline.
+  pool_ = std::make_unique<ThreadPool>(num_threads > 1 ? num_threads : 0,
+                                       stats_.trace());
   if (options_.decoupled_export) {
     HEAVEN_ASSIGN_OR_RETURN(journal_,
                             ExportJournal::Open(env_, dir_ + "/export.journal"));
@@ -147,7 +148,7 @@ Status HeavenDb::Init() {
   }
   RegisterStandardGauges();
   if (options_.metrics_sampler_interval_s > 0.0) {
-    metrics_.StartSampler(options_.metrics_sampler_interval_s, pool_.get());
+    metrics_.StartSampler(options_.metrics_sampler_interval_s);
   }
   return Status::Ok();
 }
@@ -213,25 +214,16 @@ void HeavenDb::RegisterStandardGauges() {
                          [this] {
                            return static_cast<double>(InflightFetches());
                          });
-  metrics_.RegisterGauge("pool.queue_depth",
-                         "tasks queued for the CPU worker pool", {}, [this] {
-                           return pool_ == nullptr
-                                      ? 0.0
-                                      : static_cast<double>(
-                                            pool_->QueueDepth());
-                         });
   metrics_.RegisterGauge(
-      "pool.active", "workers currently executing a task", {}, [this] {
-        return pool_ == nullptr
-                   ? 0.0
-                   : static_cast<double>(pool_->ActiveWorkers());
-      });
+      "pool.queue_depth", "tasks queued for the CPU worker pool", {},
+      [this] { return static_cast<double>(pool_->QueueDepth()); });
+  metrics_.RegisterGauge(
+      "pool.active", "workers currently executing a task", {},
+      [this] { return static_cast<double>(pool_->ActiveWorkers()); });
   metrics_.RegisterGauge(
       "pool.utilization", "active workers / pool size", {}, [this] {
-        return pool_ == nullptr ? 0.0
-                                : static_cast<double>(pool_->ActiveWorkers()) /
-                                      static_cast<double>(
-                                          pool_->num_threads());
+        return static_cast<double>(pool_->ActiveWorkers()) /
+               static_cast<double>(std::max<size_t>(pool_->num_threads(), 1));
       });
   metrics_.RegisterGauge(
       "snapshot.version", "number of the published metadata version", {},
@@ -748,9 +740,8 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
     // registry or catalog change yet in this export) the published
     // snapshot is identical to the live state.
     const DbSnapshotPtr snap = AcquireReadSnapshot();
-    HEAVEN_ASSIGN_OR_RETURN(MddArray full,
-                            ReadRegionAtSnapshot(*snap, QueryContext(),
-                                                 object_id, object.domain));
+    HEAVEN_ASSIGN_OR_RETURN(
+        MddArray full, ReadBox(*snap, QueryContext(), object_id, object.domain));
     HEAVEN_ASSIGN_OR_RETURN(MddArray overview,
                             ScaleDown(full, options_.overview_scale_factor));
     HEAVEN_RETURN_IF_ERROR(InsertObject(object.collection_id,
@@ -799,35 +790,31 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
       PlacementPlan plan,
       PlanPlacement(groups, *library_, options_.inter_clustering, curve));
 
-  // 5. Build, write and register each super-tile in plan order. With a
-  // pool, container packing/compression (the CPU-heavy part) fans out
-  // across workers; the tape appends stay strictly in plan order either
-  // way, so placement and the tape clock are unchanged.
+  // 5. Build, write and register each super-tile in plan order, one
+  // window of (pool workers + 1) super-tiles at a time: the window's
+  // containers are packed/compressed (the CPU-heavy part) in parallel,
+  // then appended strictly in plan order, so placement and the tape clock
+  // do not depend on the thread count. Memory holds one window of
+  // super-tiles and containers at a time.
   std::unique_ptr<Transaction> txn = engine_->Begin();
-
-  if (pool_ == nullptr) {
-    for (size_t idx : plan.write_order) {
-      HEAVEN_ASSIGN_OR_RETURN(
-          SuperTile st, BuildSuperTile(object_id, object, groups[idx], by_id));
-      const std::string container = st.Serialize(options_.compression);
-      HEAVEN_RETURN_IF_ERROR(AppendAndRegister(st, container, object_id,
-                                               groups[idx], plan.medium[idx],
-                                               by_id, txn.get(), added));
-    }
-  } else {
+  const size_t window = pool_->num_threads() + 1;
+  for (size_t begin = 0; begin < plan.write_order.size(); begin += window) {
+    const size_t n = std::min(window, plan.write_order.size() - begin);
     std::vector<SuperTile> sts;
-    sts.reserve(plan.write_order.size());
-    for (size_t idx : plan.write_order) {
+    sts.reserve(n);
+    for (size_t k = 0; k < n; ++k) {
       HEAVEN_ASSIGN_OR_RETURN(
-          SuperTile st, BuildSuperTile(object_id, object, groups[idx], by_id));
+          SuperTile st, BuildSuperTile(object_id, object,
+                                       groups[plan.write_order[begin + k]],
+                                       by_id));
       sts.push_back(std::move(st));
     }
-    std::vector<std::string> containers(sts.size());
-    pool_->ParallelFor(sts.size(), [&](size_t k) {
+    std::vector<std::string> containers(n);
+    pool_->ParallelFor(n, [&](size_t k) {
       containers[k] = sts[k].Serialize(options_.compression);
     });
-    for (size_t k = 0; k < sts.size(); ++k) {
-      const size_t idx = plan.write_order[k];
+    for (size_t k = 0; k < n; ++k) {
+      const size_t idx = plan.write_order[begin + k];
       HEAVEN_RETURN_IF_ERROR(AppendAndRegister(sts[k], containers[k],
                                                object_id, groups[idx],
                                                plan.medium[idx], by_id,
@@ -1100,23 +1087,28 @@ bool HeavenDb::IsSnapshotConflict(const Status& status) {
 }
 
 template <typename Fn>
-auto HeavenDb::ReadWithSnapshotRetry(Fn&& fn)
-    -> decltype(fn(std::declval<const DbSnapshot&>())) {
+auto HeavenDb::RunQuery(const char* label, const QueryContext& ctx, Fn&& body)
+    -> decltype(body(std::declval<const DbSnapshot&>())) {
+  QueryProfiler::Scope profile(&profiler_, label);
+  Status admit = AdmitQueryContext(ctx);
+  if (!admit.ok()) {
+    NoteQueryOutcome(admit);
+    return admit;
+  }
   // Bounded re-pins; each retry requires evidence of a racing mutator, so
   // serial workloads run the body exactly once and surface the exact
   // legacy error, clocks and tickers.
   constexpr int kMaxAttempts = 8;
   for (int attempt = 1;; ++attempt) {
     const DbSnapshotPtr snap = AcquireReadSnapshot();
-    auto result = fn(*snap);
+    auto result = body(*snap);
     if (result.ok() || attempt >= kMaxAttempts ||
-        !IsSnapshotConflict(result.status())) {
-      return result;
-    }
-    if (snapshot_.version() == snap->version &&
-        active_mutators_.load(std::memory_order_acquire) == 0) {
-      // No mutator ran or runs: the error is genuine (missing object, real
-      // corruption, ...), not a stale-snapshot artifact.
+        !IsSnapshotConflict(result.status()) ||
+        (snapshot_.version() == snap->version &&
+         active_mutators_.load(std::memory_order_acquire) == 0)) {
+      // Done — or no mutator ran or runs, so the error is genuine (missing
+      // object, real corruption, ...), not a stale-snapshot artifact.
+      NoteQueryOutcome(result.status());
       return result;
     }
     stats_.Record(Ticker::kSnapshotConflicts);
@@ -1238,13 +1230,35 @@ Status HeavenDb::FetchSuperTiles(
     MediumId last_medium = requests.back().medium;
     uint64_t last_end = requests.back().offset + requests.back().size_bytes;
 
-    // Decode + cache admission (DecodeAndAdmit) of one transferred
-    // container. With a pool it runs on a worker while the drive transfers
-    // the next container (the transfer loop below stays serial in schedule
-    // order, so the tape clock and seek pattern are untouched); without
-    // one it runs inline, reproducing the legacy sequence exactly.
+    // Each transferred container is decoded by a pool task while the drive
+    // transfers the next one (inline on a zero-worker pool); the transfer
+    // loop stays serial in schedule order, so the tape clock and seek
+    // pattern are untouched. This thread admits the decoded super-tiles to
+    // the cache in schedule order, at most one task per worker behind the
+    // transfer loop: the cache's LRU order, and every later hit, eviction
+    // and seek, is the same for every thread count.
     std::vector<std::shared_ptr<const SuperTile>> decoded(requests.size());
-    std::vector<std::future<Status>> pending;
+    std::vector<double> fetch_seconds(requests.size());
+    std::deque<std::future<Result<SuperTile>>> pending;
+    size_t admitted = 0;  // requests before this one have been joined
+    // Joins the oldest pending decode and admits its super-tile. The
+    // cancellation checkpoint runs after admission, so a cancelled query
+    // keeps the transfer it paid for — a rerun takes the cache hit.
+    auto admit_next = [&]() -> Status {
+      Result<SuperTile> st = pending.front().get();
+      pending.pop_front();
+      const size_t i = admitted++;
+      HEAVEN_RETURN_IF_ERROR(st.status());
+      auto shared = std::make_shared<const SuperTile>(std::move(st).value());
+      cache_->Insert(requests[i].id, shared, requests[i].size_bytes);
+      stats_.Record(Ticker::kSuperTilesRead);
+      stats_.Record(Ticker::kSuperTileBytesRead, requests[i].size_bytes);
+      stats_.RecordHistogram(HistogramKind::kSuperTileFetchSeconds,
+                             fetch_seconds[i]);
+      decoded[i] = std::move(shared);
+      if (!ctx.unconstrained()) return ctx.Check("decode");
+      return Status::Ok();
+    };
     Status status = Status::Ok();
     for (size_t i = 0; i < requests.size(); ++i) {
       const SuperTileRequest& request = requests[i];
@@ -1268,33 +1282,30 @@ Status HeavenDb::FetchSuperTiles(
                                        request.crc32c, &container);
       }
       if (!status.ok()) break;
-      const double fetch_seconds = library_->ElapsedSeconds() - fetch_before;
-      if (pool_ != nullptr) {
-        pending.push_back(pool_->Submit(
-            [this, request, ctx, fetch_seconds, slot = &decoded[i],
-             c = std::move(container)]() mutable {
-              return DecodeAndAdmitTask(request, std::move(ctx), std::move(c),
-                                        fetch_seconds, slot);
-            }));
-      } else {
-        QueryProfiler::StageTimer decode_timer(&profiler_,
-                                               ProfileStage::kDecode);
-        decode_timer.AddBytes(request.size_bytes);
-        status = DecodeAndAdmit(request, ctx, std::move(container),
-                                fetch_seconds, &decoded[i]);
+      fetch_seconds[i] = library_->ElapsedSeconds() - fetch_before;
+      // Decode consumes no simulated time by design; on workers (no active
+      // profile there) the stage records the wait for the joined task.
+      QueryProfiler::StageTimer decode_timer(&profiler_,
+                                             ProfileStage::kDecode);
+      decode_timer.AddBytes(request.size_bytes);
+      pending.push_back(pool_->Submit(
+          [this, c = std::move(container)]() -> Result<SuperTile> {
+            ScopedSpan decode_span(stats_.trace(), "supertile.decode");
+            return SuperTile::Deserialize(c);
+          }));
+      if (pending.size() > pool_->num_threads()) {
+        status = admit_next();
         if (!status.ok()) break;
       }
     }
-    // Join the pipeline before touching results or returning an error —
-    // the tasks reference this frame's locals. Decode runs on workers (no
-    // active profile there), so the pool path attributes the join wait to
-    // the decode stage instead; it consumes no simulated time by design.
+    // Join the decodes still in flight. Their transfers are paid for, so
+    // they are admitted even after an error.
     if (!pending.empty()) {
       QueryProfiler::StageTimer decode_timer(&profiler_,
                                              ProfileStage::kDecode);
-      for (std::future<Status>& pending_status : pending) {
-        Status s = pending_status.get();
-        if (status.ok() && !s.ok()) status = s;
+      while (!pending.empty()) {
+        Status s = admit_next();
+        if (status.ok()) status = s;
       }
     }
     if (!status.ok()) {
@@ -1403,38 +1414,6 @@ void HeavenDb::SettlePartialFetches(
     if (fulfilled.count(id) > 0) continue;
     flight->promise.set_value(FetchResult(status));
   }
-}
-
-// `fetch_seconds` is the tape-clock cost of this container's transfer,
-// measured by the transfer loop — decode consumes no simulated time.
-Status HeavenDb::DecodeAndAdmit(const SuperTileRequest& request,
-                                const QueryContext& ctx,
-                                std::string container, double fetch_seconds,
-                                std::shared_ptr<const SuperTile>* slot) {
-  Result<SuperTile> st = [&] {
-    ScopedSpan decode_span(stats_.trace(), "supertile.decode");
-    return SuperTile::Deserialize(container);
-  }();
-  HEAVEN_RETURN_IF_ERROR(st.status());
-  auto shared = std::make_shared<const SuperTile>(std::move(st).value());
-  cache_->Insert(request.id, shared, request.size_bytes);
-  stats_.Record(Ticker::kSuperTilesRead);
-  stats_.Record(Ticker::kSuperTileBytesRead, request.size_bytes);
-  stats_.RecordHistogram(HistogramKind::kSuperTileFetchSeconds,
-                         fetch_seconds);
-  *slot = std::move(shared);
-  // Checkpoint *after* cache admission: cancelling a query must not throw
-  // away the transfer it already paid for — a rerun takes the cache hit.
-  if (!ctx.unconstrained()) return ctx.Check("decode");
-  return Status::Ok();
-}
-
-Status HeavenDb::DecodeAndAdmitTask(SuperTileRequest request, QueryContext ctx,
-                                    std::string container,
-                                    double fetch_seconds,
-                                    std::shared_ptr<const SuperTile>* slot) {
-  return DecodeAndAdmit(request, ctx, std::move(container), fetch_seconds,
-                        slot);
 }
 
 Status HeavenDb::ReadContainerVerified(SuperTileId id, const QueryContext& ctx,
@@ -1591,38 +1570,94 @@ void HeavenDb::PruneTilesWithIndex(const DbSnapshot& snap,
   }
 }
 
-Status HeavenDb::CollectTiles(
-    const DbSnapshot& snap, const QueryContext& ctx, ObjectId object_id,
-    const MdInterval& region,
-    std::vector<std::pair<TileDescriptor, Tile>>* out) {
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  std::vector<TileDescriptor> needed;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    needed = object->TilesIntersecting(region);
-    PruneTilesWithIndex(snap, region, &needed);
+HeavenDb::QueryRecord::QueryRecord(HeavenDb* db, const char* span_name)
+    : db_(db),
+      span_(db->stats_.trace(), span_name),
+      client_before_(db->client_clock_.Now()) {}
+
+double HeavenDb::QueryRecord::ClientSeconds() const {
+  return db_->client_clock_.Now() - client_before_;
+}
+
+void HeavenDb::QueryRecord::Answered() {
+  db_->stats_.Record(Ticker::kQueriesExecuted);
+  db_->stats_.RecordHistogram(HistogramKind::kQuerySeconds, ClientSeconds());
+}
+
+void HeavenDb::QueryRecord::Answered(uint64_t cells, const MddArray& result) {
+  const uint64_t bytes = result.tile().size_bytes();
+  db_->stats_.Record(Ticker::kCellsReturned, cells);
+  span_.SetBytes(bytes);
+  db_->stats_.RecordHistogram(HistogramKind::kQueryBytes,
+                              static_cast<double>(bytes));
+  Answered();
+}
+
+Result<HeavenDb::ReadPart> HeavenDb::PlanRead(const DbSnapshot& snap,
+                                              ObjectId object_id,
+                                              const MdInterval& box,
+                                              const ObjectFrame* frame) {
+  ReadPart part;
+  HEAVEN_ASSIGN_OR_RETURN(part.object, snap.GetObject(object_id));
+  const MdInterval& domain = part.object->descriptor().domain;
+  if (!domain.Contains(box)) {
+    return Status::OutOfRange(
+        frame != nullptr
+            ? "frame " + frame->ToString() + " outside object domain"
+            : "query region " + box.ToString() + " outside object domain " +
+                  domain.ToString());
   }
+  QueryProfiler::StageTimer index_timer(&profiler_,
+                                        ProfileStage::kIndexLookup);
+  part.tiles = part.object->TilesIntersecting(box);
+  if (frame != nullptr) {
+    // Only tiles intersecting the frame itself (not just its bounding box)
+    // are touched — this is the whole point of object framing.
+    std::erase_if(part.tiles, [frame](const TileDescriptor& tile) {
+      return !frame->IntersectsBox(tile.domain);
+    });
+  }
+  // Pruning against the bounding box is sound for a frame too: the frame's
+  // pieces lie inside the box and the result is zero-filled.
+  PruneTilesWithIndex(snap, box, &part.tiles);
+  return part;
+}
+
+Status HeavenDb::RunReadPipeline(const DbSnapshot& snap,
+                                 const QueryContext& ctx,
+                                 const std::vector<ReadPart>& parts,
+                                 const char* part_span, QueryRecord* query,
+                                 const TileSink& sink) {
   std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : needed) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
+  for (const ReadPart& part : parts) {
+    for (const TileDescriptor& tile : part.tiles) {
+      if (tile.location == TileLocation::kTertiary &&
+          std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
+              needed_sts.end()) {
+        needed_sts.push_back(tile.super_tile);
+      }
     }
   }
-
   std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
   HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-  return MaterializeTiles(object->descriptor(), ctx, needed, supertiles, out);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    std::optional<QueryRecord> part_query;
+    if (part_span != nullptr) part_query.emplace(this, part_span);
+    Tiles tiles;
+    HEAVEN_RETURN_IF_ERROR(MaterializeTiles(parts[i].object->descriptor(), ctx,
+                                            parts[i].tiles, supertiles,
+                                            &tiles));
+    HEAVEN_RETURN_IF_ERROR(
+        sink(i, tiles, part_query.has_value() ? *part_query : *query));
+  }
+  return Status::Ok();
 }
 
 Status HeavenDb::MaterializeTiles(
     const ObjectDescriptor& object, const QueryContext& ctx,
     const std::vector<TileDescriptor>& needed,
     const std::map<SuperTileId, std::shared_ptr<const SuperTile>>& supertiles,
-    std::vector<std::pair<TileDescriptor, Tile>>* out) {
+    Tiles* out) {
   if (!ctx.unconstrained()) {
     HEAVEN_RETURN_IF_ERROR(ctx.Check("materialize"));
   }
@@ -1654,538 +1689,258 @@ Status HeavenDb::MaterializeTiles(
   return Status::Ok();
 }
 
-Status HeavenDb::ScatterTiles(
-    const QueryContext& ctx,
-    const std::vector<std::pair<TileDescriptor, Tile>>& tiles,
-    const MdInterval& region, MddArray* result) {
+Status HeavenDb::ScatterTiles(const QueryContext& ctx, const Tiles& tiles,
+                              const ObjectFrame* frame, MddArray* result) {
+  QueryProfiler::StageTimer scatter_timer(&profiler_, ProfileStage::kScatter);
+  scatter_timer.AddBytes(result->tile().size_bytes());
   if (!ctx.unconstrained()) {
     HEAVEN_RETURN_IF_ERROR(ctx.Check("scatter"));
   }
-  auto no_overlap = [&region](const TileDescriptor& descriptor) {
-    return Status::Internal("collected tile " +
-                           std::to_string(descriptor.tile_id) +
-                           " does not overlap query region " +
-                           region.ToString());
-  };
-  if (pool_ == nullptr || tiles.size() < 2) {
-    for (const auto& [descriptor, tile] : tiles) {
-      auto overlap = tile.domain().Intersection(region);
-      if (!overlap.has_value()) return no_overlap(descriptor);
-      HEAVEN_RETURN_IF_ERROR(
-          result->mutable_tile().CopyRegionFrom(tile, *overlap));
-    }
-    return Status::Ok();
-  }
+  const MdInterval& region = result->domain();
   // Each tile writes a disjoint destination region (the object's tiles
   // partition its domain), so the copies are data-race free.
   std::vector<Status> statuses(tiles.size());
   pool_->ParallelFor(tiles.size(), [&](size_t i) {
     const auto& [descriptor, tile] = tiles[i];
-    auto overlap = tile.domain().Intersection(region);
-    if (!overlap.has_value()) {
-      statuses[i] = no_overlap(descriptor);
+    if (frame == nullptr) {
+      auto overlap = tile.domain().Intersection(region);
+      statuses[i] =
+          overlap.has_value()
+              ? result->mutable_tile().CopyRegionFrom(tile, *overlap)
+              : Status::Internal("collected tile " +
+                                 std::to_string(descriptor.tile_id) +
+                                 " does not overlap query region " +
+                                 region.ToString());
       return;
     }
-    statuses[i] = result->mutable_tile().CopyRegionFrom(tile, *overlap);
+    for (const MdInterval& piece : frame->ClipBox(descriptor.domain)) {
+      auto overlap = piece.Intersection(region);
+      if (!overlap.has_value()) continue;
+      statuses[i] = result->mutable_tile().CopyRegionFrom(tile, *overlap);
+      if (!statuses[i].ok()) return;
+    }
   });
   for (const Status& status : statuses) HEAVEN_RETURN_IF_ERROR(status);
   return Status::Ok();
 }
 
+Result<std::vector<MddArray>> HeavenDb::ReadBoxes(
+    const DbSnapshot& snap, const QueryContext& ctx,
+    const std::vector<std::pair<ObjectId, MdInterval>>& queries, bool batch,
+    const ObjectFrame* frame) {
+  QueryRecord query(this, frame != nullptr ? "query.read_frame"
+                          : batch          ? "query.read_regions"
+                                           : "query.read_region");
+  std::vector<ReadPart> parts;
+  parts.reserve(queries.size());
+  for (const auto& [object_id, box] : queries) {
+    HEAVEN_ASSIGN_OR_RETURN(ReadPart part,
+                            PlanRead(snap, object_id, box, frame));
+    parts.push_back(std::move(part));
+  }
+  std::vector<MddArray> results;
+  results.reserve(queries.size());
+  HEAVEN_RETURN_IF_ERROR(RunReadPipeline(
+      snap, ctx, parts, batch ? "query.read_region" : nullptr, &query,
+      [&](size_t i, const Tiles& tiles, QueryRecord& answered) -> Status {
+        const MdInterval& box = queries[i].second;
+        MddArray result(box, parts[i].object->descriptor().cell_type);
+        HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, tiles, frame, &result));
+        answered.Answered(
+            frame != nullptr ? frame->CellCount() : box.CellCount(), result);
+        results.push_back(std::move(result));
+        return Status::Ok();
+      }));
+  return results;
+}
+
+Result<MddArray> HeavenDb::ReadBox(const DbSnapshot& snap,
+                                   const QueryContext& ctx,
+                                   ObjectId object_id, const MdInterval& box,
+                                   const ObjectFrame* frame) {
+  HEAVEN_ASSIGN_OR_RETURN(
+      std::vector<MddArray> results,
+      ReadBoxes(snap, ctx, {{object_id, box}}, /*batch=*/false, frame));
+  return std::move(results.front());
+}
+
 Result<MddArray> HeavenDb::ReadRegion(ObjectId object_id,
-                                      const MdInterval& region) {
-  return ReadRegion(QueryContext(), object_id, region);
-}
-
-Result<MddArray> HeavenDb::ReadRegion(const QueryContext& ctx,
-                                      ObjectId object_id,
-                                      const MdInterval& region) {
-  // Outermost profile scope (inner scopes nest as no-ops) so the outcome
-  // label set by NoteQueryOutcome lands on this query's profile.
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<MddArray> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return ReadRegionAtSnapshot(snap, ctx, object_id, region);
+                                      const MdInterval& region,
+                                      const QueryContext& ctx) {
+  return RunQuery("read_region", ctx, [&](const DbSnapshot& snap) {
+    return ReadBox(snap, ctx, object_id, region);
   });
-  NoteQueryOutcome(result.status());
-  return result;
 }
 
-Result<MddArray> HeavenDb::ReadRegionAtSnapshot(const DbSnapshot& snap,
-                                                const QueryContext& ctx,
-                                                ObjectId object_id,
-                                                const MdInterval& region) {
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  ScopedSpan span(stats_.trace(), "query.read_region");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  if (!object->descriptor().domain.Contains(region)) {
-    return Status::OutOfRange("query region " + region.ToString() +
-                              " outside object domain " +
-                              object->descriptor().domain.ToString());
-  }
-  std::vector<std::pair<TileDescriptor, Tile>> tiles;
-  HEAVEN_RETURN_IF_ERROR(CollectTiles(snap, ctx, object_id, region, &tiles));
-
-  MddArray result(region, object->descriptor().cell_type);
-  {
-    QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                            ProfileStage::kScatter);
-    scatter_timer.AddBytes(result.tile().size_bytes());
-    HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, tiles, region, &result));
-  }
-  stats_.Record(Ticker::kQueriesExecuted);
-  stats_.Record(Ticker::kCellsReturned, region.CellCount());
-  span.SetBytes(result.tile().size_bytes());
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                         static_cast<double>(result.tile().size_bytes()));
-  return result;
-}
-
-Result<MddArray> HeavenDb::ReadObject(ObjectId object_id) {
-  return ReadObject(QueryContext(), object_id);
-}
-
-Result<MddArray> HeavenDb::ReadObject(const QueryContext& ctx,
-                                      ObjectId object_id) {
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<MddArray> result = ReadWithSnapshotRetry(
-      [&](const DbSnapshot& snap) -> Result<MddArray> {
+Result<MddArray> HeavenDb::ReadObject(ObjectId object_id,
+                                      const QueryContext& ctx) {
+  return RunQuery(
+      "read_region", ctx, [&](const DbSnapshot& snap) -> Result<MddArray> {
         HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
                                 snap.GetObject(object_id));
-        return ReadRegionAtSnapshot(snap, ctx, object_id,
-                                    object->descriptor().domain);
+        return ReadBox(snap, ctx, object_id, object->descriptor().domain);
       });
-  NoteQueryOutcome(result.status());
-  return result;
 }
 
 Result<MddArray> HeavenDb::ReadFrame(ObjectId object_id,
-                                     const ObjectFrame& frame) {
-  return ReadFrame(QueryContext(), object_id, frame);
-}
-
-Result<MddArray> HeavenDb::ReadFrame(const QueryContext& ctx,
-                                     ObjectId object_id,
-                                     const ObjectFrame& frame) {
-  QueryProfiler::Scope profile(&profiler_, "read_frame");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<MddArray> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return ReadFrameAtSnapshot(snap, ctx, object_id, frame);
-  });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<MddArray> HeavenDb::ReadFrameAtSnapshot(const DbSnapshot& snap,
-                                               const QueryContext& ctx,
-                                               ObjectId object_id,
-                                               const ObjectFrame& frame) {
-  QueryProfiler::Scope profile(&profiler_, "read_frame");
-  ScopedSpan span(stats_.trace(), "query.read_frame");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
-                          snap.GetObject(object_id));
-  const ObjectDescriptor& object = snap_object->descriptor();
-  HEAVEN_ASSIGN_OR_RETURN(MdInterval bbox, frame.BoundingBox());
-  if (!object.domain.Contains(bbox)) {
-    return Status::OutOfRange("frame " + frame.ToString() +
-                              " outside object domain");
-  }
-
-  // Only tiles intersecting the frame itself (not just the hull) are
-  // touched — this is the whole point of object framing.
-  std::vector<TileDescriptor> candidates;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    candidates = snap_object->TilesIntersecting(bbox);
-  }
-  std::vector<TileDescriptor> needed;
-  for (TileDescriptor& tile : candidates) {
-    if (!frame.IntersectsBox(tile.domain)) continue;
-    needed.push_back(std::move(tile));
-  }
-  {
-    // Pruning against the bounding box is sound for the frame too: the
-    // frame's pieces are subsets of the box and the result is zero-filled.
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    PruneTilesWithIndex(snap, bbox, &needed);
-  }
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : needed) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-
-  MddArray result(bbox, object.cell_type);  // zero-initialized
-  {
-    QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                            ProfileStage::kScatter);
-    if (!ctx.unconstrained()) {
-      HEAVEN_RETURN_IF_ERROR(ctx.Check("scatter"));
-    }
-    uint64_t disk_bytes = 0;
-    for (const TileDescriptor& descriptor : needed) {
-      Tile tile;
-      if (descriptor.location == TileLocation::kDisk) {
-        HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                                engine_->blobs()->Get(descriptor.blob_id));
-        disk_bytes += payload.size();
-        tile = Tile(descriptor.domain, object.cell_type, std::move(payload));
-      } else {
-        const auto st_it = supertiles.find(descriptor.super_tile);
-        if (st_it == supertiles.end()) {
-          return Status::Internal(
-              "super-tile " + std::to_string(descriptor.super_tile) +
-              " required by tile " + std::to_string(descriptor.tile_id) +
-              " was not fetched");
-        }
-        HEAVEN_ASSIGN_OR_RETURN(const Tile* found,
-                                st_it->second->FindTile(descriptor.tile_id));
-        tile = *found;
-      }
-      stats_.Record(Ticker::kTilesTouched);
-      for (const MdInterval& piece : frame.ClipBox(descriptor.domain)) {
-        auto overlap = piece.Intersection(bbox);
-        if (!overlap.has_value()) continue;
-        HEAVEN_RETURN_IF_ERROR(
-            result.mutable_tile().CopyRegionFrom(tile, *overlap));
-      }
-    }
-    if (disk_bytes > 0) {
-      client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
-    }
-    scatter_timer.AddBytes(result.tile().size_bytes());
-  }
-  stats_.Record(Ticker::kQueriesExecuted);
-  stats_.Record(Ticker::kCellsReturned, frame.CellCount());
-  span.SetBytes(result.tile().size_bytes());
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                         static_cast<double>(result.tile().size_bytes()));
-  return result;
+                                     const ObjectFrame& frame,
+                                     const QueryContext& ctx) {
+  return RunQuery(
+      "read_frame", ctx, [&](const DbSnapshot& snap) -> Result<MddArray> {
+        HEAVEN_ASSIGN_OR_RETURN(MdInterval bbox, frame.BoundingBox());
+        return ReadBox(snap, ctx, object_id, bbox, &frame);
+      });
 }
 
 Result<double> HeavenDb::Aggregate(ObjectId object_id, Condenser condenser,
-                                   const MdInterval& region) {
-  return Aggregate(QueryContext(), object_id, condenser, region);
-}
-
-Result<double> HeavenDb::Aggregate(const QueryContext& ctx, ObjectId object_id,
-                                   Condenser condenser,
-                                   const MdInterval& region) {
-  QueryProfiler::Scope profile(&profiler_, "aggregate");
-  // Admission happens once, here: AggregateImpl's inner region read goes
-  // through the snapshot body directly, so the token bucket is not charged
-  // a second time for the same client query.
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<double> result = AggregateImpl(ctx, object_id, condenser, region);
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<double> HeavenDb::AggregateImpl(const QueryContext& ctx,
-                                       ObjectId object_id, Condenser condenser,
-                                       const MdInterval& region) {
-  // No db_mu_ here: the precomputed catalog is internally locked and
-  // the region read pins its own snapshot.
-  ScopedSpan span(stats_.trace(), "query.aggregate");
-  const double client_before = client_clock_.Now();
-  if (options_.enable_precomputed) {
-    std::optional<double> hit =
-        precomputed_->Lookup(object_id, condenser, region);
-    if (hit.has_value()) {
-      stats_.Record(Ticker::kQueriesExecuted);
-      stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                             client_clock_.Now() - client_before);
-      return *hit;
-    }
-  }
-  HEAVEN_ASSIGN_OR_RETURN(
-      MddArray data, ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-        return ReadRegionAtSnapshot(snap, ctx, object_id, region);
-      }));
-  HEAVEN_ASSIGN_OR_RETURN(double value,
-                          CondenseRegion(data, condenser, region));
-  if (options_.enable_precomputed) {
-    precomputed_->Insert(object_id, condenser, region, value);
-    HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
-  }
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  return value;
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegions(
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  return ReadRegions(QueryContext(), queries);
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegions(
-    const QueryContext& ctx,
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  QueryProfiler::Scope profile(&profiler_, "read_regions");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<std::vector<MddArray>> result =
-      ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-        return ReadRegionsAtSnapshot(snap, ctx, queries);
-      });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegionsAtSnapshot(
-    const DbSnapshot& snap, const QueryContext& ctx,
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  QueryProfiler::Scope profile(&profiler_, "read_regions");
-  ScopedSpan span(stats_.trace(), "query.read_regions");
-  // Phase 1: collect each query's tile descriptors once and gather every
-  // tertiary super-tile needed by any query so the scheduler sees the
-  // whole batch at once.
-  std::vector<std::vector<TileDescriptor>> per_query(queries.size());
-  std::vector<SuperTileId> needed_sts;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const auto& [object_id, region] = queries[q];
-      HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                              snap.GetObject(object_id));
-      per_query[q] = object->TilesIntersecting(region);
-      PruneTilesWithIndex(snap, region, &per_query[q]);
-      for (const TileDescriptor& tile : per_query[q]) {
-        if (tile.location != TileLocation::kTertiary) continue;
-        if (std::find(needed_sts.begin(), needed_sts.end(),
-                      tile.super_tile) == needed_sts.end()) {
-          needed_sts.push_back(tile.super_tile);
+                                   const MdInterval& region,
+                                   const QueryContext& ctx) {
+  return RunQuery(
+      "aggregate", ctx, [&](const DbSnapshot& snap) -> Result<double> {
+        QueryRecord query(this, "query.aggregate");
+        if (options_.enable_precomputed) {
+          std::optional<double> hit =
+              precomputed_->Lookup(object_id, condenser, region);
+          if (hit.has_value()) {
+            query.Answered();
+            return *hit;
+          }
         }
-      }
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
+        // The region read counts as the executed query; the aggregate adds
+        // only its client seconds.
+        HEAVEN_ASSIGN_OR_RETURN(MddArray data,
+                                ReadBox(snap, ctx, object_id, region));
+        HEAVEN_ASSIGN_OR_RETURN(double value,
+                                CondenseRegion(data, condenser, region));
+        if (options_.enable_precomputed) {
+          precomputed_->Insert(object_id, condenser, region, value);
+          HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
+        }
+        stats_.RecordHistogram(HistogramKind::kQuerySeconds,
+                               query.ClientSeconds());
+        return value;
+      });
+}
 
-  // Phase 2: answer each query from the descriptors collected in phase 1
-  // and the batch-fetched super-tiles — no second index lookup or cache
-  // probe per query.
-  std::vector<MddArray> results;
-  results.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const auto& [object_id, region] = queries[q];
-    ScopedSpan query_span(stats_.trace(), "query.read_region");
-    const double client_before = client_clock_.Now();
-    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
-                            snap.GetObject(object_id));
-    const ObjectDescriptor& object = snap_object->descriptor();
-    if (!object.domain.Contains(region)) {
-      return Status::OutOfRange("query region " + region.ToString() +
-                                " outside object domain " +
-                                object.domain.ToString());
-    }
-    std::vector<std::pair<TileDescriptor, Tile>> tiles;
-    HEAVEN_RETURN_IF_ERROR(
-        MaterializeTiles(object, ctx, per_query[q], supertiles, &tiles));
-    MddArray result(region, object.cell_type);
-    {
-      QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                              ProfileStage::kScatter);
-      scatter_timer.AddBytes(result.tile().size_bytes());
-      HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, tiles, region, &result));
-    }
-    stats_.Record(Ticker::kQueriesExecuted);
-    stats_.Record(Ticker::kCellsReturned, region.CellCount());
-    query_span.SetBytes(result.tile().size_bytes());
-    stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                           client_clock_.Now() - client_before);
-    stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                           static_cast<double>(result.tile().size_bytes()));
-    results.push_back(std::move(result));
-  }
-  return results;
+Result<std::vector<MddArray>> HeavenDb::ReadRegions(
+    const std::vector<std::pair<ObjectId, MdInterval>>& queries,
+    const QueryContext& ctx) {
+  return RunQuery("read_regions", ctx, [&](const DbSnapshot& snap) {
+    return ReadBoxes(snap, ctx, queries, /*batch=*/true);
+  });
 }
 
 Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
                                           const MdInterval& region,
                                           const CellPredicate& pred,
-                                          bool universal) {
-  return EvaluateQuantifier(QueryContext(), object_id, region, pred,
-                            universal);
-}
+                                          bool universal,
+                                          const QueryContext& ctx) {
+  return RunQuery("quantifier", ctx, [&](const DbSnapshot& snap)
+                                         -> Result<bool> {
+    QueryRecord query(this, "query.quantifier");
+    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
+                            snap.GetObject(object_id));
+    const ObjectDescriptor& descriptor = object->descriptor();
+    if (!descriptor.domain.Contains(region)) {
+      return Status::OutOfRange("query region " + region.ToString() +
+                                " outside object domain " +
+                                descriptor.domain.ToString());
+    }
+    const bool zero_matches = EvalCellPredicate(pred, 0.0);
 
-Result<bool> HeavenDb::EvaluateQuantifier(const QueryContext& ctx,
-                                          ObjectId object_id,
-                                          const MdInterval& region,
-                                          const CellPredicate& pred,
-                                          bool universal) {
-  QueryProfiler::Scope profile(&profiler_, "quantifier");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<bool> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return EvaluateQuantifierAtSnapshot(snap, ctx, object_id, region, pred,
-                                        universal);
-  });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<bool> HeavenDb::EvaluateQuantifierAtSnapshot(const DbSnapshot& snap,
-                                                    const QueryContext& ctx,
-                                                    ObjectId object_id,
-                                                    const MdInterval& region,
-                                                    const CellPredicate& pred,
-                                                    bool universal) {
-  QueryProfiler::Scope profile(&profiler_, "quantifier");
-  ScopedSpan span(stats_.trace(), "query.quantifier");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  const ObjectDescriptor& descriptor = object->descriptor();
-  if (!descriptor.domain.Contains(region)) {
-    return Status::OutOfRange("query region " + region.ToString() +
-                              " outside object domain " +
-                              descriptor.domain.ToString());
-  }
-  const bool zero_matches = EvalCellPredicate(pred, 0.0);
-
-  // Pass 1 — decide as many tiles as possible from the index alone.
-  std::vector<TileDescriptor> undecided;
-  uint64_t covered = 0;
-  bool exists = false;  // some overlap cell satisfies the predicate
-  bool all = true;      // every decided overlap cell satisfies it
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    std::vector<TileDescriptor> tiles = object->TilesIntersecting(region);
-    for (TileDescriptor& tile : tiles) {
-      auto overlap = tile.domain.Intersection(region);
-      if (!overlap.has_value()) continue;
-      covered += overlap->CellCount();
-      const SuperTileMeta* meta =
-          tile.location == TileLocation::kTertiary
-              ? snap.FindSuperTile(tile.super_tile)
-              : nullptr;
-      const TileIndexEntry* entry =
-          options_.index_pruning && meta != nullptr && meta->index != nullptr
-              ? meta->index->Find(tile.tile_id)
-              : nullptr;
-      if (entry == nullptr) {
-        undecided.push_back(std::move(tile));
-        continue;
-      }
-      stats_.Record(Ticker::kIndexLookups);
-      // Min/max classify the tile's whole cell population; all/none
-      // verdicts hold for any subset, the overlap included. When the
-      // range is inconclusive the zero-mask may still prove the overlap
-      // all-zero, which evaluates the predicate exactly at 0.
-      PredicateOutcome outcome =
-          ClassifyValueRange(pred, entry->min_value, entry->max_value);
-      if (outcome == PredicateOutcome::kUndecided &&
-          !SuperTileIndex::AnyNonZeroInBox(*entry, *overlap)) {
-        outcome = zero_matches ? PredicateOutcome::kAllSatisfy
-                               : PredicateOutcome::kNoneSatisfy;
-      }
-      switch (outcome) {
-        case PredicateOutcome::kAllSatisfy:
-          stats_.Record(Ticker::kIndexPredicateShortcuts);
-          exists = true;
-          break;
-        case PredicateOutcome::kNoneSatisfy:
-          stats_.Record(Ticker::kIndexPredicateShortcuts);
-          all = false;
-          break;
-        case PredicateOutcome::kUndecided:
-          undecided.push_back(std::move(tile));
-          break;
+    // Pass 1 — decide as many tiles as possible from the index alone.
+    std::vector<ReadPart> undecided = {ReadPart{object, {}}};
+    uint64_t covered = 0;
+    bool exists = false;  // some overlap cell satisfies the predicate
+    bool all = true;      // every decided overlap cell satisfies it
+    {
+      QueryProfiler::StageTimer index_timer(&profiler_,
+                                            ProfileStage::kIndexLookup);
+      std::vector<TileDescriptor> tiles = object->TilesIntersecting(region);
+      for (TileDescriptor& tile : tiles) {
+        auto overlap = tile.domain.Intersection(region);
+        if (!overlap.has_value()) continue;
+        covered += overlap->CellCount();
+        const SuperTileMeta* meta =
+            tile.location == TileLocation::kTertiary
+                ? snap.FindSuperTile(tile.super_tile)
+                : nullptr;
+        const TileIndexEntry* entry =
+            options_.index_pruning && meta != nullptr && meta->index != nullptr
+                ? meta->index->Find(tile.tile_id)
+                : nullptr;
+        if (entry == nullptr) {
+          undecided[0].tiles.push_back(std::move(tile));
+          continue;
+        }
+        stats_.Record(Ticker::kIndexLookups);
+        // Min/max classify the tile's whole cell population; all/none
+        // verdicts hold for any subset, the overlap included. When the
+        // range is inconclusive the zero-mask may still prove the overlap
+        // all-zero, which evaluates the predicate exactly at 0.
+        PredicateOutcome outcome =
+            ClassifyValueRange(pred, entry->min_value, entry->max_value);
+        if (outcome == PredicateOutcome::kUndecided &&
+            !SuperTileIndex::AnyNonZeroInBox(*entry, *overlap)) {
+          outcome = zero_matches ? PredicateOutcome::kAllSatisfy
+                                 : PredicateOutcome::kNoneSatisfy;
+        }
+        switch (outcome) {
+          case PredicateOutcome::kAllSatisfy:
+            stats_.Record(Ticker::kIndexPredicateShortcuts);
+            exists = true;
+            break;
+          case PredicateOutcome::kNoneSatisfy:
+            stats_.Record(Ticker::kIndexPredicateShortcuts);
+            all = false;
+            break;
+          case PredicateOutcome::kUndecided:
+            undecided[0].tiles.push_back(std::move(tile));
+            break;
+        }
       }
     }
-  }
-  // Region cells no tile covers read as zero (the read path zero-fills
-  // them), so they take part in the quantification too.
-  if (covered < region.CellCount()) {
-    if (zero_matches) {
-      exists = true;
-    } else {
-      all = false;
-    }
-  }
-
-  auto finish = [&](bool value) -> Result<bool> {
-    stats_.Record(Ticker::kQueriesExecuted);
-    stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                           client_clock_.Now() - client_before);
-    return value;
-  };
-  if (universal && !all) return finish(false);
-  if (!universal && exists) return finish(true);
-  if (undecided.empty()) return finish(universal ? all : exists);
-
-  // Pass 2 — fetch and scan only the still-undecided tiles.
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : undecided) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-  std::vector<std::pair<TileDescriptor, Tile>> tiles;
-  HEAVEN_RETURN_IF_ERROR(
-      MaterializeTiles(descriptor, ctx, undecided, supertiles, &tiles));
-  const size_t cell_size = CellTypeSize(descriptor.cell_type);
-  for (const auto& [desc, tile] : tiles) {
-    auto overlap = desc.domain.Intersection(region);
-    if (!overlap.has_value()) continue;
-    for (MdPointIterator it(*overlap); !it.Done(); it.Next()) {
-      const uint64_t off = desc.domain.LinearOffset(it.point());
-      const double value = ReadCellAsDouble(
-          descriptor.cell_type, tile.data().data() + off * cell_size);
-      if (EvalCellPredicate(pred, value)) {
+    // Region cells no tile covers read as zero (the read path zero-fills
+    // them), so they take part in the quantification too.
+    if (covered < region.CellCount()) {
+      if (zero_matches) {
         exists = true;
-        if (!universal) return finish(true);
       } else {
         all = false;
-        if (universal) return finish(false);
       }
     }
-  }
-  return finish(universal ? all : exists);
+
+    // Pass 2 — unless the index already decided, fetch the still-undecided
+    // tiles and scan them up to the first cell that decides.
+    const bool decided = universal ? !all : exists;
+    if (!decided && !undecided[0].tiles.empty()) {
+      const size_t cell_size = CellTypeSize(descriptor.cell_type);
+      HEAVEN_RETURN_IF_ERROR(RunReadPipeline(
+          snap, ctx, undecided, nullptr, &query,
+          [&](size_t, const Tiles& tiles, QueryRecord&) -> Status {
+            for (const auto& [desc, tile] : tiles) {
+              auto overlap = desc.domain.Intersection(region);
+              if (!overlap.has_value()) continue;
+              for (MdPointIterator it(*overlap); !it.Done(); it.Next()) {
+                const uint64_t off = desc.domain.LinearOffset(it.point());
+                if (EvalCellPredicate(
+                        pred, ReadCellAsDouble(descriptor.cell_type,
+                                               tile.data().data() +
+                                                   off * cell_size))) {
+                  exists = true;
+                  if (!universal) return Status::Ok();
+                } else {
+                  all = false;
+                  if (universal) return Status::Ok();
+                }
+              }
+            }
+            return Status::Ok();
+          }));
+    }
+    query.Answered();
+    return universal ? all : exists;
+  });
 }
 
 // ------------------------------------------------------- delete / import --

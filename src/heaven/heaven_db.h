@@ -2,6 +2,7 @@
 #define HEAVEN_HEAVEN_HEAVEN_DB_H_
 
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "heaven/bitmap_index.h"
 #include "heaven/cache.h"
 #include "heaven/clustering.h"
@@ -107,13 +109,13 @@ struct HeavenOptions {
   /// ExportMetrics / metrics()->SampleOnce().
   double metrics_sampler_interval_s = 0.0;
 
-  /// Worker threads for the CPU-bound hot paths: super-tile decode is
-  /// pipelined against the (tape-ordered) transfer loop, tile scatter into
-  /// query results fans out, and export-side container packing/compression
-  /// runs in parallel. 0 selects std::thread::hardware_concurrency(); 1
-  /// runs the exact serial legacy code path (bit-identical clocks,
-  /// counters and traces). Tape order and all simulated-time accounting
-  /// are preserved for every value.
+  /// Threads for the CPU-bound hot paths: super-tile decode is pipelined
+  /// against the (tape-ordered) transfer loop, tile scatter into query
+  /// results fans out, and export-side container packing/compression runs
+  /// in parallel. 0 selects std::thread::hardware_concurrency(); 1 builds
+  /// a zero-worker pool that runs every task inline on the calling thread.
+  /// Every value takes the same code path, with the same tape order,
+  /// simulated clocks, counters and cache contents.
   size_t num_threads = 0;
 
   /// Payload codec for super-tile containers written to tape. Shrinks the
@@ -235,6 +237,13 @@ class HeavenDb {
   // db_mu_ shared: readers never block on (or even touch) the hierarchy
   // lock, so cache-hot reads scale with cores. EXCLUDES(db_mu_) makes the
   // no-lock-on-the-read-path invariant compiler-checked.
+  //
+  // Every reader takes a trailing QueryContext carrying the QoS class, a
+  // deadline on the tape clock and a cancellation token. The context rides
+  // the whole read path — admission, scheduling, the tape transfer loop,
+  // decode and scatter — and is checked cooperatively at each stage
+  // boundary. The default (unconstrained) context adds no sim time,
+  // tickers or trace spans.
 
   /// Pins the current metadata snapshot: one lock-free shared_ptr
   /// acquire. The snapshot stays valid (and its retired version
@@ -245,28 +254,30 @@ class HeavenDb {
       EXCLUDES(db_mu_);
 
   /// Box (trim) query across the storage hierarchy.
-  Result<MddArray> ReadRegion(ObjectId object_id, const MdInterval& region)
-      EXCLUDES(db_mu_);
+  Result<MddArray> ReadRegion(ObjectId object_id, const MdInterval& region,
+                              const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Whole-object read.
-  Result<MddArray> ReadObject(ObjectId object_id) EXCLUDES(db_mu_);
+  Result<MddArray> ReadObject(ObjectId object_id, const QueryContext& ctx = {})
+      EXCLUDES(db_mu_);
 
   /// Object-framing query: only cells inside the frame are retrieved; the
   /// result covers the frame's bounding box with cells outside the frame
   /// zero-filled.
-  Result<MddArray> ReadFrame(ObjectId object_id, const ObjectFrame& frame)
-      EXCLUDES(db_mu_);
+  Result<MddArray> ReadFrame(ObjectId object_id, const ObjectFrame& frame,
+                             const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Condenser over a region, served from the precomputed catalog when
   /// possible; computed results are added to the catalog.
   Result<double> Aggregate(ObjectId object_id, Condenser condenser,
-                           const MdInterval& region) EXCLUDES(db_mu_);
+                           const MdInterval& region,
+                           const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Batch of box queries executed under one scheduling pass — the
   /// query-scheduling experiment path (E7).
   Result<std::vector<MddArray>> ReadRegions(
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries)
-      EXCLUDES(db_mu_);
+      const std::vector<std::pair<ObjectId, MdInterval>>& queries,
+      const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Membership query: whether some (universal=false) or every
   /// (universal=true) cell of `region` satisfies `pred`. Decided from
@@ -277,35 +288,8 @@ class HeavenDb {
   /// semantics the rasql fallback path would see.
   Result<bool> EvaluateQuantifier(ObjectId object_id,
                                   const MdInterval& region,
-                                  const CellPredicate& pred, bool universal)
-      EXCLUDES(db_mu_);
-
-  // ---- QoS-aware query entry points ------------------------------------
-  //
-  // Every reader also exists with a leading QueryContext carrying the QoS
-  // class, a deadline on the tape clock and a cancellation token. The
-  // context rides the whole read path — admission, scheduling, the tape
-  // transfer loop, decode and scatter — and is checked cooperatively at
-  // each stage boundary. The plain overloads above delegate here with a
-  // default (unconstrained) context, which adds no sim time, tickers or
-  // trace spans.
-
-  Result<MddArray> ReadRegion(const QueryContext& ctx, ObjectId object_id,
-                              const MdInterval& region) EXCLUDES(db_mu_);
-  Result<MddArray> ReadObject(const QueryContext& ctx, ObjectId object_id)
-      EXCLUDES(db_mu_);
-  Result<MddArray> ReadFrame(const QueryContext& ctx, ObjectId object_id,
-                             const ObjectFrame& frame) EXCLUDES(db_mu_);
-  Result<double> Aggregate(const QueryContext& ctx, ObjectId object_id,
-                           Condenser condenser, const MdInterval& region)
-      EXCLUDES(db_mu_);
-  Result<std::vector<MddArray>> ReadRegions(
-      const QueryContext& ctx,
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries)
-      EXCLUDES(db_mu_);
-  Result<bool> EvaluateQuantifier(const QueryContext& ctx, ObjectId object_id,
-                                  const MdInterval& region,
-                                  const CellPredicate& pred, bool universal)
+                                  const CellPredicate& pred, bool universal,
+                                  const QueryContext& ctx = {})
       EXCLUDES(db_mu_);
 
   // ---- Introspection ---------------------------------------------------
@@ -444,35 +428,78 @@ class HeavenDb {
   /// synchronous export path re-enters db_mu_ — see RecursiveSharedMutex).
   Status RunMigrationPolicy() REQUIRES(db_mu_);
 
-  /// Snapshot-parameterized query bodies. Public readers pin a snapshot
-  /// and delegate here through ReadWithSnapshotRetry; the export overview
-  /// path calls them directly with a snapshot acquired under exclusive
-  /// db_mu_ (which at a mutator's start is identical to the live state).
-  Result<MddArray> ReadRegionAtSnapshot(const DbSnapshot& snap,
-                                        const QueryContext& ctx,
-                                        ObjectId object_id,
-                                        const MdInterval& region);
-  Result<MddArray> ReadFrameAtSnapshot(const DbSnapshot& snap,
-                                       const QueryContext& ctx,
-                                       ObjectId object_id,
-                                       const ObjectFrame& frame);
-  Result<std::vector<MddArray>> ReadRegionsAtSnapshot(
-      const DbSnapshot& snap, const QueryContext& ctx,
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries);
-  Result<bool> EvaluateQuantifierAtSnapshot(const DbSnapshot& snap,
-                                            const QueryContext& ctx,
-                                            ObjectId object_id,
-                                            const MdInterval& region,
-                                            const CellPredicate& pred,
-                                            bool universal);
+  /// The wrapper every public read runs in: the outermost profile scope
+  /// `label` (inner scopes nest as no-ops, so NoteQueryOutcome's label
+  /// lands on this query), admission of `ctx`, `body(snap)` against a
+  /// freshly pinned snapshot, and the outcome bookkeeping. A
+  /// conflict-shaped error caused by a concurrent mutator (see
+  /// IsSnapshotConflict) re-pins and retries, bounded; serial reads never
+  /// retry, keeping clocks and tickers bit-identical to the locked path.
+  template <typename Fn>
+  auto RunQuery(const char* label, const QueryContext& ctx, Fn&& body)
+      -> decltype(body(std::declval<const DbSnapshot&>()));
 
-  /// Aggregate body (precomputed lookup, region read, condense, catalog
-  /// insert) minus profiling and admission, which the public entry points
-  /// own — the inner region read must not be charged to the token bucket
-  /// a second time.
-  Result<double> AggregateImpl(const QueryContext& ctx, ObjectId object_id,
-                               Condenser condenser, const MdInterval& region)
-      EXCLUDES(db_mu_);
+  /// A query's trace span and client-clock start, plus the bookkeeping
+  /// every answered query records.
+  class QueryRecord {
+   public:
+    QueryRecord(HeavenDb* db, const char* span_name);
+    /// Client seconds since the query started.
+    double ClientSeconds() const;
+    /// Counts the query and records the client seconds it took.
+    void Answered();
+    /// An array answer also records the cells and bytes it returns.
+    void Answered(uint64_t cells, const MddArray& result);
+
+   private:
+    HeavenDb* db_;
+    ScopedSpan span_;
+    double client_before_;
+  };
+
+  /// One result of a read: its object and the tiles it needs.
+  struct ReadPart {
+    std::shared_ptr<const SnapshotObject> object;
+    std::vector<TileDescriptor> tiles;
+  };
+  /// Materialized (descriptor, tile data) pairs.
+  using Tiles = std::vector<std::pair<TileDescriptor, Tile>>;
+  /// Consumes part `i`'s materialized tiles on behalf of `query`.
+  using TileSink =
+      std::function<Status(size_t i, const Tiles& tiles, QueryRecord& query)>;
+
+  /// The plan step of box and frame reads: the object's tiles intersecting
+  /// `box` (with a frame, only those intersecting the frame itself),
+  /// pruned with the bitmap index. OutOfRange when `box` leaves the
+  /// object's domain.
+  Result<ReadPart> PlanRead(const DbSnapshot& snap, ObjectId object_id,
+                            const MdInterval& box, const ObjectFrame* frame);
+
+  /// The read pipeline every query runs once planned: fetches every
+  /// tertiary super-tile the parts need in one scheduled batch, then
+  /// materializes each part's tiles and hands them to `sink`. With a
+  /// `part_span` each part is a query of its own (the batch path: own
+  /// span, client seconds and bookkeeping); otherwise parts answer `query`.
+  Status RunReadPipeline(const DbSnapshot& snap, const QueryContext& ctx,
+                         const std::vector<ReadPart>& parts,
+                         const char* part_span, QueryRecord* query,
+                         const TileSink& sink);
+
+  /// Box and frame reads at `snap`, one result per query, scattered into
+  /// zero-initialized arrays. `batch` answers each query as a part of one
+  /// `query.read_regions` read; `frame` (single reads only) restricts the
+  /// result to the frame's cells, `queries` then holding its bounding box.
+  Result<std::vector<MddArray>> ReadBoxes(
+      const DbSnapshot& snap, const QueryContext& ctx,
+      const std::vector<std::pair<ObjectId, MdInterval>>& queries,
+      bool batch, const ObjectFrame* frame = nullptr);
+
+  /// One box (or frame) read at `snap`. The export overview path calls it
+  /// directly with a snapshot acquired under exclusive db_mu_ (which at a
+  /// mutator's start is identical to the live state).
+  Result<MddArray> ReadBox(const DbSnapshot& snap, const QueryContext& ctx,
+                           ObjectId object_id, const MdInterval& box,
+                           const ObjectFrame* frame = nullptr);
 
   /// Charges `ctx` to its class token bucket (when a controller exists),
   /// advances the client clock by any virtual queue wait, and runs the
@@ -492,15 +519,6 @@ class HeavenDb {
   /// index-served queries keep working. Always false without a controller.
   bool BrownoutActive() const;
 
-  /// Runs `fn(const DbSnapshot&)` against a freshly pinned snapshot,
-  /// re-pinning and retrying (bounded) when a conflict-shaped error was
-  /// caused by a concurrent mutator — see IsSnapshotConflict. Serial-mode
-  /// reads never retry, keeping clocks and tickers bit-identical to the
-  /// locked path.
-  template <typename Fn>
-  auto ReadWithSnapshotRetry(Fn&& fn)
-      -> decltype(fn(std::declval<const DbSnapshot&>()));
-
   /// Whether `status` can be the wake of a mutator committing between our
   /// snapshot pin and a storage access (blob deleted after an export,
   /// medium reorganised under a stale registry entry, ...). Such errors
@@ -514,29 +532,22 @@ class HeavenDb {
   void PruneTilesWithIndex(const DbSnapshot& snap, const MdInterval& region,
                            std::vector<TileDescriptor>* needed);
 
-  /// Reads the tiles intersecting `region`, from disk or tape, returning
-  /// (descriptor, tile data) pairs. Core of every query path.
-  Status CollectTiles(const DbSnapshot& snap, const QueryContext& ctx,
-                      ObjectId object_id, const MdInterval& region,
-                      std::vector<std::pair<TileDescriptor, Tile>>* out);
-
   /// Materializes `needed` tiles from disk blobs or the supplied
   /// super-tiles (every tertiary tile's super-tile must be present),
-  /// charging the client disk cost. Shared by CollectTiles and the batch
-  /// query path, which fetches super-tiles once for all queries.
+  /// charging the client disk cost.
   Status MaterializeTiles(
       const ObjectDescriptor& object, const QueryContext& ctx,
       const std::vector<TileDescriptor>& needed,
       const std::map<SuperTileId, std::shared_ptr<const SuperTile>>&
           supertiles,
-      std::vector<std::pair<TileDescriptor, Tile>>* out);
+      Tiles* out);
 
-  /// Copies each collected tile's overlap with `region` into `result`.
-  /// Destination regions are disjoint (tiles partition the object), so the
-  /// copies fan out on the pool when one is configured.
-  Status ScatterTiles(const QueryContext& ctx,
-                      const std::vector<std::pair<TileDescriptor, Tile>>& tiles,
-                      const MdInterval& region, MddArray* result);
+  /// Copies each tile's overlap with `result`'s domain into `result` —
+  /// with a frame, only the cells inside the frame. Destination regions
+  /// are disjoint (tiles partition the object), so the copies fan out on
+  /// the pool.
+  Status ScatterTiles(const QueryContext& ctx, const Tiles& tiles,
+                      const ObjectFrame* frame, MddArray* result);
 
   /// Single-flight fetch coalescing: at most one tape fetch per super-tile
   /// is in flight at a time. A miss registers a promise here (the leader);
@@ -579,24 +590,6 @@ class HeavenDb {
       const std::vector<SuperTileRequest>& requests,
       const std::vector<std::shared_ptr<const SuperTile>>& decoded,
       const Status& status) EXCLUDES(fetch_mu_);
-
-  /// Decode + cache admission of one transferred container (see
-  /// FetchSuperTiles); shared by the serial path (which runs it inline
-  /// under shared db_mu_) and the pool path (DecodeAndAdmitTask). The
-  /// cancellation checkpoint runs after cache admission, so partial work
-  /// survives for the rerun.
-  Status DecodeAndAdmit(const SuperTileRequest& request,
-                        const QueryContext& ctx, std::string container,
-                        double fetch_seconds,
-                        std::shared_ptr<const SuperTile>* slot);
-
-  /// Pool-task entry around DecodeAndAdmit. Pool tasks must never run
-  /// under db_mu_: the submitting thread holds it while joining the
-  /// futures, so a task acquiring it would deadlock the pipeline.
-  Status DecodeAndAdmitTask(SuperTileRequest request, QueryContext ctx,
-                            std::string container, double fetch_seconds,
-                            std::shared_ptr<const SuperTile>* slot)
-      EXCLUDES(db_mu_);
 
   /// Reads one container with bounded retry and verifies it against
   /// `crc32c` (when non-zero), re-fetching exactly once on a mismatch. A
@@ -646,9 +639,11 @@ class HeavenDb {
   /// options_.decoupled_export). Log calls for queue membership happen
   /// under tct_mu_ so the journal and the queue stay consistent.
   std::unique_ptr<ExportJournal> journal_;  // analyze: unguarded(Open-only)
-  /// CPU worker pool (null when options_.num_threads resolves to 1). Pool
-  /// tasks never acquire db_mu_: they touch only the cache, statistics and
-  /// trace collector (each with its own lock) plus disjoint output slots.
+  /// CPU worker pool; zero workers (tasks run inline) when
+  /// options_.num_threads resolves to 1. Pool tasks never acquire db_mu_:
+  /// export packing joins its tasks while holding it. They touch only the
+  /// statistics and trace collector (each with its own lock) plus disjoint
+  /// output slots.
   std::unique_ptr<ThreadPool> pool_;  // analyze: unguarded(fixed at Open)
 
   /// Top-level mutator lock. Mutators (insert, export, update, delete,

@@ -79,7 +79,7 @@ class Evaluator {
         HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                                 snap_->FindObject(expr.object_name));
         HEAVEN_ASSIGN_OR_RETURN(MddArray array,
-                                db_->ReadObject(ctx_, object.object_id));
+                                db_->ReadObject(object.object_id, ctx_));
         return QueryResult{std::move(array)};
       }
       case ExprKind::kSubscript:
@@ -151,8 +151,8 @@ class Evaluator {
             pred.cmp = cmp->cmp;
             pred.value = cmp->rhs->number;
             HEAVEN_ASSIGN_OR_RETURN(
-                bool holds, db_->EvaluateQuantifier(ctx_, *object_id, *region,
-                                                    pred, expr.universal));
+                bool holds, db_->EvaluateQuantifier(*object_id, *region, pred,
+                                                    expr.universal, ctx_));
             return QueryResult{holds ? 1.0 : 0.0};
           }
         }
@@ -181,7 +181,7 @@ class Evaluator {
       HEAVEN_ASSIGN_OR_RETURN(SubscriptPlan plan,
                               PlanSubscript(expr.axes, object.domain));
       HEAVEN_ASSIGN_OR_RETURN(
-          MddArray array, db_->ReadRegion(ctx_, object.object_id, plan.trim));
+          MddArray array, db_->ReadRegion(object.object_id, plan.trim, ctx_));
       HEAVEN_ASSIGN_OR_RETURN(array,
                               ApplySlices(std::move(array), plan.slice_dims));
       return QueryResult{std::move(array)};
@@ -207,8 +207,8 @@ class Evaluator {
       HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                               snap_->FindObject(child->object_name));
       HEAVEN_ASSIGN_OR_RETURN(
-          double value, db_->Aggregate(ctx_, object.object_id, expr.condenser,
-                                       object.domain));
+          double value, db_->Aggregate(object.object_id, expr.condenser,
+                                       object.domain, ctx_));
       return QueryResult{value};
     }
     if (child->kind == ExprKind::kSubscript &&
@@ -219,8 +219,8 @@ class Evaluator {
                               PlanSubscript(child->axes, object.domain));
       if (plan.slice_dims.empty()) {
         HEAVEN_ASSIGN_OR_RETURN(
-            double value, db_->Aggregate(ctx_, object.object_id,
-                                         expr.condenser, plan.trim));
+            double value, db_->Aggregate(object.object_id, expr.condenser,
+                                         plan.trim, ctx_));
         return QueryResult{value};
       }
     }
@@ -243,7 +243,7 @@ class Evaluator {
     HEAVEN_ASSIGN_OR_RETURN(ObjectFrame frame,
                             ObjectFrame::FromBoxes(expr.frame_boxes));
     HEAVEN_ASSIGN_OR_RETURN(MddArray array,
-                            db_->ReadFrame(ctx_, object.object_id, frame));
+                            db_->ReadFrame(object.object_id, frame, ctx_));
     return QueryResult{std::move(array)};
   }
 

@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/sim_clock.h"
 #include "common/statistics.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "tertiary/drive_profile.h"
-#include "tertiary/sim_clock.h"
 
 namespace heaven {
 

@@ -419,7 +419,7 @@ TEST_F(QosDbTest, PreadmissionRejectsDoomedPlanWithoutTapeTime) {
   QueryContext ctx;
   ctx.deadline = Deadline::AfterSimSeconds(db_->library()->clock(), 0.01);
   const double tape_before = db_->TapeSeconds();
-  auto read = db_->ReadRegion(ctx, id, domain);
+  auto read = db_->ReadRegion(id, domain, ctx);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(read.status().ToString().find("pre-admission"), std::string::npos)
@@ -433,7 +433,7 @@ TEST_F(QosDbTest, PreadmissionRejectsDoomedPlanWithoutTapeTime) {
   // A workable deadline lets the very same plan through.
   QueryContext roomy;
   roomy.deadline = Deadline::AfterSimSeconds(db_->library()->clock(), 1e6);
-  auto ok = db_->ReadRegion(roomy, id, domain);
+  auto ok = db_->ReadRegion(id, domain, roomy);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value(), Ramp(domain));
 }
@@ -452,7 +452,7 @@ TEST_F(QosDbTest, KillAtEveryStageLeavesDbServable) {
     QueryContext ctx;
     ctx.cancel = std::make_shared<CancelToken>();
     ctx.cancel->TripAfterPolls(polls);
-    auto read = db_->ReadRegion(ctx, id, domain);
+    auto read = db_->ReadRegion(id, domain, ctx);
     if (read.ok()) {
       EXPECT_EQ(read.value(), Ramp(domain));
     } else {
@@ -502,7 +502,7 @@ TEST_F(QosDbTest, CancelledFetchKeepsPartialWorkInCache) {
     QueryContext ctx;
     ctx.cancel = std::make_shared<CancelToken>();
     ctx.cancel->TripAfterPolls(polls);
-    auto read = db_->ReadRegion(ctx, id, domain);
+    auto read = db_->ReadRegion(id, domain, ctx);
     const uint64_t fetched = db_->stats()->Get(Ticker::kSuperTilesRead);
     if (!read.ok() && fetched > 0 && fetched < cold_fetches) {
       saw_partial_cancel = true;
@@ -632,9 +632,9 @@ TEST(QosDisabledTest, DefaultContextIsBitIdenticalToLegacyCalls) {
     const MdInterval region({5, 5}, {30, 30});
     if (use_context_api) {
       QueryContext ctx;
-      EXPECT_TRUE((*db)->ReadRegion(ctx, *id, region).ok());
-      EXPECT_TRUE((*db)->Aggregate(ctx, *id, Condenser::kSum, region).ok());
-      EXPECT_TRUE((*db)->ReadObject(ctx, *id).ok());
+      EXPECT_TRUE((*db)->ReadRegion(*id, region, ctx).ok());
+      EXPECT_TRUE((*db)->Aggregate(*id, Condenser::kSum, region, ctx).ok());
+      EXPECT_TRUE((*db)->ReadObject(*id, ctx).ok());
     } else {
       EXPECT_TRUE((*db)->ReadRegion(*id, region).ok());
       EXPECT_TRUE((*db)->Aggregate(*id, Condenser::kSum, region).ok());
@@ -798,7 +798,7 @@ TEST(OverloadStormTest, EverySeedDegradesGracefullyAndRecovers) {
         ctx.cancel->TripAfterPolls(seed + round);
       }
       const MdInterval& region = regions[round % regions.size()];
-      auto read = (*db)->ReadRegion(ctx, *id, region);
+      auto read = (*db)->ReadRegion(*id, region, ctx);
       if (read.ok()) {
         ASSERT_EQ(read.value(), Ramp(region));  // never silent corruption
       } else {

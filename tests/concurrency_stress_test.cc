@@ -13,6 +13,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "array/ops.h"
@@ -25,76 +26,111 @@ namespace heaven {
 namespace {
 
 // ------------------------------------------------------------ ThreadPool --
+//
+// Every case also runs on a zero-worker pool, which runs each task inline
+// on the calling thread — the num_threads=1 configuration of HeavenDb.
 
 TEST(ThreadPoolTest, SubmitReturnsResults) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[i].get(), i * i);
+  for (size_t workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    std::vector<std::future<int>> futures;
+    std::vector<std::thread::id> ran_on;  // only written when inline
+    for (int i = 0; i < 32; ++i) {
+      futures.push_back(pool.Submit([i, workers, &ran_on] {
+        if (workers == 0) ran_on.push_back(std::this_thread::get_id());
+        return i * i;
+      }));
+      if (workers == 0) {
+        // Inline: the task already ran, here, and nothing was queued.
+        EXPECT_EQ(pool.QueueDepth(), 0u);
+        ASSERT_EQ(ran_on.size(), static_cast<size_t>(i) + 1);
+        EXPECT_EQ(ran_on.back(), std::this_thread::get_id());
+      }
+    }
+    for (int i = 0; i < 32; ++i) {
+      EXPECT_EQ(futures[i].get(), i * i);
+    }
   }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << i;
+  for (size_t workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    constexpr size_t kN = 10000;
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<size_t> foreign{0};  // indices run off the calling thread
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(kN, [&](size_t i) {
+      hits[i].fetch_add(1);
+      if (std::this_thread::get_id() != caller) foreign.fetch_add(1);
+    });
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << i;
+    }
+    if (workers == 0) EXPECT_EQ(foreign.load(), 0u);
+    EXPECT_EQ(pool.QueueDepth(), 0u);
   }
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesSmallAndEmptyRanges) {
-  ThreadPool pool(8);
-  int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
+  for (size_t workers : {0, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    int calls = 0;
+    pool.ParallelFor(0, [&](size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    pool.ParallelFor(1, [&](size_t) { ++calls; });
+    EXPECT_EQ(calls, 1);
+  }
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
+  for (size_t workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::atomic<int> ran{0};
+    {
+      ThreadPool pool(workers);
+      for (int i = 0; i < 64; ++i) {
+        pool.Submit([&ran] { ran.fetch_add(1); });
+      }
     }
+    EXPECT_EQ(ran.load(), 64);
   }
-  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, WorkerSpansParentToEnqueuingSpan) {
-  SimClock clock;
-  TraceCollector trace;
-  trace.SetClock(&clock);
-  trace.Enable(true);
-  ThreadPool pool(2, &trace);
-  {
-    ScopedSpan outer(&trace, "outer");
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 4; ++i) {
-      futures.push_back(pool.Submit([&trace] {
-        ScopedSpan inner(&trace, "worker.task");
-      }));
+  for (size_t workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    SimClock clock;
+    TraceCollector trace;
+    trace.SetClock(&clock);
+    trace.Enable(true);
+    ThreadPool pool(workers, &trace);
+    {
+      ScopedSpan outer(&trace, "outer");
+      std::vector<std::future<void>> futures;
+      for (int i = 0; i < 4; ++i) {
+        futures.push_back(pool.Submit([&trace] {
+          ScopedSpan inner(&trace, "worker.task");
+        }));
+      }
+      for (auto& f : futures) f.get();
     }
-    for (auto& f : futures) f.get();
+    SpanId outer_id = 0;
+    for (const Span& s : trace.Spans()) {
+      if (s.name == "outer") outer_id = s.id;
+    }
+    ASSERT_NE(outer_id, 0u);
+    size_t worker_spans = 0;
+    for (const Span& s : trace.Spans()) {
+      if (s.name != "worker.task") continue;
+      ++worker_spans;
+      EXPECT_EQ(s.parent, outer_id);
+    }
+    EXPECT_EQ(worker_spans, 4u);
   }
-  SpanId outer_id = 0;
-  for (const Span& s : trace.Spans()) {
-    if (s.name == "outer") outer_id = s.id;
-  }
-  ASSERT_NE(outer_id, 0u);
-  size_t worker_spans = 0;
-  for (const Span& s : trace.Spans()) {
-    if (s.name != "worker.task") continue;
-    ++worker_spans;
-    EXPECT_EQ(s.parent, outer_id);
-  }
-  EXPECT_EQ(worker_spans, 4u);
 }
 
 TEST(ThreadPoolTest, AmbientParentRestoredAfterScope) {
@@ -310,6 +346,102 @@ TEST_F(ConcurrencyStressTest, ParallelResultsMatchSerialBaseline) {
   ASSERT_EQ(parallel_results->size(), serial_results->size());
   for (size_t i = 0; i < parallel_results->size(); ++i) {
     EXPECT_EQ((*parallel_results)[i], (*serial_results)[i]) << i;
+  }
+}
+
+// The thread count changes only wall-clock time: one fixed mix of every
+// read entry point, under a cache too small for the working set, yields
+// the same results, simulated clocks and counters on a zero-worker pool
+// (num_threads=1) and on four workers. Decoded super-tiles enter the cache
+// in schedule order on both, so hits, evictions and seeks match too.
+TEST(ThreadCountTest, SimClocksAndCountersDoNotDependOnThreadCount) {
+  struct Outcome {
+    std::vector<MddArray> arrays;
+    std::vector<double> scalars;
+    double tape_seconds = 0.0;
+    double client_seconds = 0.0;
+    std::vector<uint64_t> counters;
+  };
+  const MdInterval domain({0, 0}, {95, 95});
+  auto run = [&](size_t num_threads) -> Outcome {
+    Outcome out;
+    MemEnv env;
+    HeavenOptions options;
+    options.library.profile = MidTapeProfile();
+    options.library.num_drives = 2;
+    options.library.num_media = 8;
+    options.disk_tile_bytes = 2048;
+    options.supertile_bytes = 8 << 10;
+    options.compression = Compression::kDeltaRle;
+    options.cache.capacity_bytes = 24 << 10;  // a few of ~20 super-tiles
+    options.num_threads = num_threads;
+    auto db = HeavenDb::Open(&env, "/db", options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    if (!db.ok()) return out;
+    auto coll = (*db)->CreateCollection("c");
+    EXPECT_TRUE(coll.ok());
+    auto a = (*db)->InsertObject(*coll, "a", Ramp(domain));
+    auto b = (*db)->InsertObject(*coll, "b", Ramp(domain));
+    auto disk = (*db)->InsertObject(*coll, "disk", Ramp(domain));
+    EXPECT_TRUE(a.ok() && b.ok() && disk.ok());
+    EXPECT_TRUE((*db)->ExportObject(*a).ok());
+    EXPECT_TRUE((*db)->ExportObject(*b).ok());
+    auto frame = ObjectFrame::FromBoxes(
+        {MdInterval({0, 0}, {40, 15}), MdInterval({30, 16}, {80, 60})});
+    EXPECT_TRUE(frame.ok());
+    auto keep = [&](auto result) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return;
+      if constexpr (std::is_same_v<std::decay_t<decltype(*result)>,
+                                   MddArray>) {
+        out.arrays.push_back(std::move(result).value());
+      } else {
+        out.scalars.push_back(static_cast<double>(*result));
+      }
+    };
+    CellPredicate above;
+    above.cmp = CompareOp::kGt;
+    above.value = 4000.0;
+    for (int round = 0; round < 3; ++round) {
+      for (ObjectId id : {*a, *b, *disk}) {
+        keep((*db)->ReadRegion(id, MdInterval({8, 8}, {71, 47})));
+        keep((*db)->ReadFrame(id, *frame));
+        keep((*db)->Aggregate(id, Condenser::kSum,
+                              MdInterval({round, 0}, {50, 95})));
+        keep((*db)->EvaluateQuantifier(id, MdInterval({0, 0}, {60, 60}),
+                                       above, /*universal=*/false));
+        keep((*db)->EvaluateQuantifier(id, MdInterval({10, 10}, {90, 90}),
+                                       above, /*universal=*/true));
+      }
+      keep((*db)->ReadObject(*a));
+      auto batch = (*db)->ReadRegions({{*b, MdInterval({0, 0}, {31, 95})},
+                                       {*a, MdInterval({40, 40}, {95, 95})},
+                                       {*disk, MdInterval({5, 5}, {9, 9})}});
+      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+      if (batch.ok()) {
+        for (MddArray& array : *batch) out.arrays.push_back(std::move(array));
+      }
+    }
+    out.tape_seconds = (*db)->TapeSeconds();
+    out.client_seconds = (*db)->ClientSeconds();
+    out.counters = (*db)->stats()->Snapshot();
+    // The mix must actually run under cache pressure.
+    EXPECT_GT((*db)->stats()->Get(Ticker::kCacheEvictions), 0u);
+    return out;
+  };
+  const Outcome serial = run(1);
+  const Outcome pooled = run(4);
+  ASSERT_EQ(serial.arrays.size(), pooled.arrays.size());
+  for (size_t i = 0; i < serial.arrays.size(); ++i) {
+    EXPECT_EQ(serial.arrays[i], pooled.arrays[i]) << i;
+  }
+  EXPECT_EQ(serial.scalars, pooled.scalars);
+  EXPECT_EQ(serial.tape_seconds, pooled.tape_seconds);
+  EXPECT_EQ(serial.client_seconds, pooled.client_seconds);
+  ASSERT_EQ(serial.counters.size(), pooled.counters.size());
+  for (size_t t = 0; t < serial.counters.size(); ++t) {
+    EXPECT_EQ(serial.counters[t], pooled.counters[t])
+        << TickerName(static_cast<Ticker>(t));
   }
 }
 
