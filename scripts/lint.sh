@@ -2,10 +2,9 @@
 # Source lints that need no compiler — cheap enough to run on every commit.
 #
 #  1. Raw standard-library lock primitives are banned in src/ outside the
-#     two wrapper headers. Everything must go through heaven::Mutex /
-#     heaven::SharedMutex / RecursiveSharedMutex and the scoped guards in
-#     common/thread_annotations.h, or Clang thread-safety analysis cannot
-#     see the lock discipline.
+#     wrapper header. Everything must go through heaven::Mutex, MutexLock
+#     and CondVar in common/thread_annotations.h, or Clang thread-safety
+#     analysis cannot see the lock discipline.
 #  2. HEAVEN_CHECK on a Status/Result is banned in src/: aborting on a
 #     fallible operation hides recoverable I/O errors. Propagate with
 #     HEAVEN_RETURN_IF_ERROR / HEAVEN_ASSIGN_OR_RETURN instead. (Tests may
@@ -18,19 +17,12 @@
 #     in common/statistics.h; gauges register with the MetricsRegistry
 #     (common/metrics.h) owned by HeavenDb, so every number shows up in
 #     \metrics, ExportMetrics and the bench reports.
-#  5. Shared acquisition of the database hierarchy lock (ReaderLock on
-#     db_mu_) is banned in src/: the query path reads through pinned
-#     DbSnapshots (HeavenDb::AcquireReadSnapshot), never by blocking
-#     mutators out. A reader holding db_mu_ shared serializes against
-#     every mutator and resurrects the scalability collapse the
-#     snapshot-isolated read path removed. Mutators keep exclusive
-#     WriterLock(db_mu_).
-#  6. The raw Z-order kernel (heaven/zorder.h) is banned in src/ outside
+#  5. The raw Z-order kernel (heaven/zorder.h) is banned in src/ outside
 #     the SpaceFillingCurve implementations: callers that hardcode
 #     ZOrderKey bypass the per-object curve choice (HeavenOptions::curve,
 #     EXPORT ... WITH CURVE) and silently mis-cluster Hilbert objects.
 #     Order tiles through GetCurve(kind).Key(...) instead.
-#  7. Ad-hoc std::chrono timeout/deadline plumbing is banned in src/
+#  6. Ad-hoc std::chrono timeout/deadline plumbing is banned in src/
 #     outside common/admission.h: wall-clock sleeps, timed waits and
 #     chrono-typed deadlines bypass the simulated clock, so they are
 #     invisible to the cost model, non-deterministic across machines and
@@ -38,25 +30,24 @@
 #     QueryContext/Deadline (common/admission.h) on the SimClock;
 #     std::chrono stays legal only for wall-clock *measurement*
 #     (histograms, metric timestamps).
-#  8. Every Mutex / SharedMutex data member in a src/ header must declare
-#     its place in the lock hierarchy: an adjacent ACQUIRED_AFTER /
-#     ACQUIRED_BEFORE annotation, or an explicit `// analyze: leaf-lock`
-#     marker for locks that never nest around another. The heaven_analyze
-#     tool (tools/heaven_analyze) checks the resulting order for cycles;
-#     this lint just refuses unclassified locks. RecursiveSharedMutex (the
-#     root db_mu_) is exempt — it anchors the hierarchy.
+#  7. Every Mutex data member in a src/ header must declare its place in
+#     the lock hierarchy: an adjacent ACQUIRED_AFTER / ACQUIRED_BEFORE
+#     annotation, or an explicit `// analyze: leaf-lock` marker for locks
+#     that never nest around another. The heaven_analyze tool
+#     (tools/heaven_analyze) checks the resulting order for cycles; this
+#     lint just refuses unclassified locks.
 #
 # Usage: scripts/lint.sh [--self-test]
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Rule 8 matcher, factored out so --self-test can negative-test it: prints
-# Mutex/SharedMutex member declarations lacking both a lock-order
-# annotation and the leaf-lock marker. The anchor at line start keeps
-# RecursiveSharedMutex (and local `MutexLock` guards) out of scope.
-rule8_violations() {
-  grep -nE '^[[:space:]]*(mutable[[:space:]]+)?(Mutex|SharedMutex)[[:space:]]+[a-zA-Z_]' \
+# Rule 7 matcher, factored out so --self-test can negative-test it: prints
+# Mutex member declarations lacking both a lock-order annotation and the
+# leaf-lock marker. The anchor at line start keeps local `MutexLock`
+# guards out of scope.
+rule7_violations() {
+  grep -nE '^[[:space:]]*(mutable[[:space:]]+)?Mutex[[:space:]]+[a-zA-Z_]' \
        "$@" \
     | grep -vE 'ACQUIRED_(AFTER|BEFORE)|analyze: leaf-lock' || true
 }
@@ -70,15 +61,14 @@ EOF
   cat > "$tmp/good.h" <<'EOF'
   mutable Mutex leaf_;  // analyze: leaf-lock
   Mutex ordered_ ACQUIRED_AFTER("HeavenDb::db_mu_");
-  SharedMutex before_ ACQUIRED_BEFORE("TapeLibrary::mu_");
-  mutable RecursiveSharedMutex db_mu_;
+  Mutex before_ ACQUIRED_BEFORE("TapeLibrary::mu_");
 EOF
-  if [[ -z "$(rule8_violations "$tmp/bad.h")" ]]; then
-    echo "lint self-test: rule 8 missed an unannotated mutex member" >&2
+  if [[ -z "$(rule7_violations "$tmp/bad.h")" ]]; then
+    echo "lint self-test: rule 7 missed an unannotated mutex member" >&2
     exit 1
   fi
-  if [[ -n "$(rule8_violations "$tmp/good.h")" ]]; then
-    echo "lint self-test: rule 8 false positive on annotated members" >&2
+  if [[ -n "$(rule7_violations "$tmp/good.h")" ]]; then
+    echo "lint self-test: rule 7 false positive on annotated members" >&2
     exit 1
   fi
   echo "lint: self-test ok"
@@ -94,7 +84,7 @@ note() {
 }
 
 # --- 1. raw lock primitives -------------------------------------------------
-allowed='src/common/thread_annotations\.h|src/common/rw_mutex\.h'
+allowed='src/common/thread_annotations\.h'
 pattern='std::(mutex|shared_mutex|recursive_mutex|condition_variable(_any)?|lock_guard|unique_lock|shared_lock|scoped_lock)\b'
 hits=$(grep -rnE "$pattern" src/ --include='*.h' --include='*.cc' \
          | grep -vE "^($allowed):" || true)
@@ -128,16 +118,7 @@ if [[ -n "$hits" ]]; then
   note "ad-hoc metric plumbing outside src/common/ (extend common/statistics.h enums; register gauges with the MetricsRegistry in common/metrics.h):" "$hits"
 fi
 
-# --- 5. no shared db_mu_ on the query path -----------------------------------
-# Queries pin a DbSnapshot (lock-free) instead of holding db_mu_ shared;
-# see "Snapshot reads & epoch reclamation" in DESIGN.md.
-hits=$(grep -rnE 'ReaderLock[^(]*\(\s*db_mu_' src/ \
-         --include='*.h' --include='*.cc' || true)
-if [[ -n "$hits" ]]; then
-  note "ReaderLock on db_mu_ in src/ (query path must read through AcquireReadSnapshot; mutators use WriterLock):" "$hits"
-fi
-
-# --- 6. curve choice goes through SpaceFillingCurve ---------------------------
+# --- 5. curve choice goes through SpaceFillingCurve ---------------------------
 # Only the curve implementations may call the raw Z-order kernel; every
 # other layer orders tiles via GetCurve(kind).Key so Hilbert objects
 # cluster on their own curve.
@@ -149,7 +130,7 @@ if [[ -n "$hits" ]]; then
   note "direct Z-order kernel use in src/ (route through GetCurve(kind).Key so the per-object curve is honored):" "$hits"
 fi
 
-# --- 7. timeouts and deadlines go through common/admission.h ------------------
+# --- 6. timeouts and deadlines go through common/admission.h ------------------
 # Wall-clock sleeps / timed waits / chrono deadline variables in src/ are
 # invisible to the simulated clock and to admission control. The only
 # sanctioned deadline type is Deadline (common/admission.h) on the
@@ -163,11 +144,11 @@ if [[ -n "$hits" ]]; then
   note "ad-hoc std::chrono timeout/deadline plumbing in src/ (deadlines ride QueryContext/Deadline from common/admission.h on the SimClock):" "$hits"
 fi
 
-# --- 8. mutex members declare their place in the lock order -------------------
+# --- 7. mutex members declare their place in the lock order -------------------
 # tools/heaven_analyze builds the lock-order graph from these annotations
 # (plus observed nesting) and rejects cycles; a member carrying neither an
 # order annotation nor the leaf-lock marker is invisible to that check.
-hits=$(rule8_violations $(find src -name '*.h' | sort))
+hits=$(rule7_violations $(find src -name '*.h' | sort))
 if [[ -n "$hits" ]]; then
   note "mutex member without a lock-order annotation in src/ headers (add ACQUIRED_AFTER/ACQUIRED_BEFORE or '// analyze: leaf-lock'; see tools/heaven_analyze):" "$hits"
 fi

@@ -4,14 +4,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/logging.h"
 
 /// Clang thread-safety-analysis ("capability") annotations, plus the
-/// annotated mutex and lock-guard types every HEAVEN component uses in
+/// annotated Mutex, MutexLock and CondVar every HEAVEN component uses in
 /// place of the raw standard-library primitives (scripts/lint.sh enforces
-/// the ban outside this header and rw_mutex.h).
+/// the ban outside this header). Every lock is exclusive and none is
+/// recursive: annotate a method that takes a lock EXCLUDES(it), so that
+/// re-entry is a compile error rather than a runtime self-deadlock.
 ///
 /// Under `clang -Wthread-safety` (scripts/check.sh --analyze turns it into
 /// -Werror) the annotations make lock discipline a compile-time property:
@@ -34,8 +35,7 @@
 /// on destruction (lock guards).
 #define SCOPED_CAPABILITY HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(scoped_lockable)
 
-/// Data member readable only with `x` held (shared or exclusive) and
-/// writable only with `x` held exclusively.
+/// Data member readable and writable only with `x` held.
 #define GUARDED_BY(x) HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(guarded_by(x))
 
 /// Pointer member whose *pointee* is protected by `x` (the pointer itself
@@ -48,35 +48,21 @@
 #define ACQUIRED_AFTER(...) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(acquired_after(__VA_ARGS__))
 
-/// The caller must hold the capability exclusively when calling.
+/// The caller must hold the capability when calling.
 #define REQUIRES(...) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(requires_capability(__VA_ARGS__))
 
-/// The caller must hold the capability at least shared when calling.
-#define REQUIRES_SHARED(...) \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(requires_shared_capability(__VA_ARGS__))
-
-/// The function acquires the capability (exclusively / shared) and holds it
-/// on return.
+/// The function acquires the capability and holds it on return.
 #define ACQUIRE(...) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(acquire_shared_capability(__VA_ARGS__))
 
 /// The function releases the capability (which the caller must hold).
 #define RELEASE(...) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(release_generic_capability(__VA_ARGS__))
 
 /// The function acquires the capability iff it returns `b`.
 #define TRY_ACQUIRE(b, ...) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(b, __VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(b, ...)                                     \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_shared_capability( \
-      b, __VA_ARGS__))
 
 /// The caller must NOT hold the capability when calling (the function takes
 /// it itself, or must never run under it — e.g. thread-pool task bodies
@@ -87,8 +73,6 @@
 /// Runtime assertion that the calling thread holds the capability.
 #define ASSERT_CAPABILITY(x) \
   HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__(assert_shared_capability(x))
 
 /// The function returns a reference to the given capability.
 #define RETURN_CAPABILITY(x) \
@@ -119,29 +103,6 @@ class CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
   std::mutex mu_;
-};
-
-/// Annotated reader/writer mutex (wraps std::shared_mutex). Shared
-/// ownership is NOT recursive and holders must not upgrade — the same
-/// constraints std::shared_mutex imposes. Prefer ReaderLock / WriterLock.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
 };
 
 /// Tag selecting the adopting MutexLock constructor (the mutex is already
@@ -182,39 +143,6 @@ class SCOPED_CAPABILITY MutexLock {
   friend class CondVar;
   Mutex* const mu_;
   bool held_;
-};
-
-/// Scoped shared (reader) guard; works over SharedMutex and
-/// RecursiveSharedMutex (any type with LockShared()/UnlockShared()).
-template <typename SharedLockable>
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedLockable& mu) ACQUIRE_SHARED(mu) : mu_(&mu) {
-    mu_->LockShared();
-  }
-  ~ReaderLock() RELEASE() { mu_->UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedLockable* const mu_;
-};
-
-/// Scoped exclusive (writer) guard over a reader/writer mutex.
-template <typename SharedLockable>
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedLockable& mu) ACQUIRE(mu) : mu_(&mu) {
-    mu_->Lock();
-  }
-  ~WriterLock() RELEASE() { mu_->Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedLockable* const mu_;
 };
 
 /// Condition variable bound to one Mutex at construction (LevelDB's port

@@ -56,7 +56,7 @@ class RetiredVersions {
 ///
 /// Readers call Acquire(): one lock-free shared_ptr load that pins the
 /// current version for as long as the returned pointer lives. Mutators
-/// (externally serialized — HeavenDb publishes under its exclusive db_mu_)
+/// (externally serialized — HeavenDb publishes under its db_mu_)
 /// build a fresh T and install it with Publish(): a single pointer swap,
 /// after which new readers see the new version while in-flight readers
 /// keep the one they pinned. The displaced version moves to a retired list

@@ -124,7 +124,7 @@ Status HeavenDb::Init() {
     // Version 1: the first snapshot, built from the freshly loaded catalog
     // and registry. Published before any worker thread (TCT, sampler)
     // starts, so a snapshot always exists.
-    WriterLock lock(db_mu_);
+    MutexLock lock(db_mu_);
     PublishSnapshot({});
   }
   HEAVEN_RETURN_IF_ERROR(
@@ -333,7 +333,7 @@ void HeavenDb::RegisterStandardGauges() {
 Status HeavenDb::RecoverExports() {
   // Runs during Init (no concurrency yet), but the registry reads below
   // still take the lock so the capability discipline holds everywhere.
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   const std::vector<ExportJournalRecord>& records = journal_->recovered();
   if (records.empty()) return Status::Ok();
   std::set<ObjectId> pending;
@@ -427,7 +427,7 @@ Status HeavenDb::LoadRegistry() {
   const std::string image = engine_->catalog()->GetSection(kRegistrySection);
   HEAVEN_ASSIGN_OR_RETURN(std::vector<SuperTileMeta> metas,
                           DeserializeSuperTileMetas(image));
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   registry_.Clear();
   for (SuperTileMeta& meta : metas) {
     next_supertile_id_ = std::max(next_supertile_id_, meta.id + 1);
@@ -441,7 +441,7 @@ Status HeavenDb::LoadCurves() {
   const std::string image = engine_->catalog()->GetSection(kCurvesSection);
   Result<std::map<ObjectId, CurveKind>> curves = DeserializeCurves(image);
   HEAVEN_RETURN_IF_ERROR(curves.status());
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   curves_ = std::move(curves).value();
   return Status::Ok();
 }
@@ -455,12 +455,12 @@ Status HeavenDb::PersistCurvesLocked(Transaction* txn) {
   return Status::Ok();
 }
 
-Status HeavenDb::PersistRegistry() {
+void HeavenDb::StageRegistryLocked(Transaction* txn) {
   CatalogDelta delta;
   delta.op = CatalogOp::kSetSection;
   delta.name = kRegistrySection;
   delta.payload = SerializeRegistryLocked();
-  return engine_->ApplyCatalogAtomic(delta);
+  txn->UpdateCatalog(delta);
 }
 
 std::string HeavenDb::SerializeRegistryLocked() const {
@@ -504,11 +504,11 @@ void HeavenDb::PublishSnapshot(const std::vector<ObjectId>& touched) {
       next->objects.emplace(object.object_id, std::move(snap_object));
     }
   }
-  // Publishers are serialized under exclusive db_mu_, so the number the
-  // swap will assign is known before it happens. Drop our own pin on the
-  // previous version first: otherwise this very reference keeps it
-  // non-quiescent through the publication's reclamation sweep, and an
-  // idle database would always report one retired version pending.
+  // Publishers are serialized under db_mu_, so the number the swap will
+  // assign is known before it happens. Drop our own pin on the previous
+  // version first: otherwise this very reference keeps it non-quiescent
+  // through the publication's reclamation sweep, and an idle database
+  // would always report one retired version pending.
   prev.reset();
   next->version = snapshot_.version() + 1;
   snapshot_.Publish(std::move(next));
@@ -517,11 +517,6 @@ void HeavenDb::PublishSnapshot(const std::vector<ObjectId>& touched) {
 
 DbSnapshotPtr HeavenDb::AcquireReadSnapshot() const {
   QueryProfiler::StageTimer timer(&profiler_, ProfileStage::kSnapshotAcquire);
-  // The read path must never touch the hierarchy lock: a reader blocked
-  // behind a mutator would defeat the whole point of snapshot isolation.
-  // (Exclusive ownership — a mutator reading its own state — is fine.)
-  HEAVEN_DCHECK(!db_mu_.ThisThreadHoldsShared())
-      << "snapshot acquired while holding db_mu_ shared";
   DbSnapshotPtr snap = snapshot_.Acquire();
   HEAVEN_DCHECK(snap != nullptr) << "no snapshot published before Init done";
   return snap;
@@ -551,7 +546,7 @@ Result<CollectionId> HeavenDb::CreateCollection(const std::string& name) {
 }
 
 Status HeavenDb::DropCollection(const std::string& name) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   auto collection = engine_->catalog()->FindCollection(name);
   if (!collection.has_value()) {
     return Status::NotFound("collection " + name);
@@ -569,8 +564,18 @@ Result<ObjectId> HeavenDb::InsertObject(CollectionId collection,
                                         const std::string& name,
                                         const MddArray& data,
                                         std::vector<int64_t> tile_extents) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
+  HEAVEN_ASSIGN_OR_RETURN(
+      ObjectId object_id,
+      InsertObjectLocked(collection, name, data, std::move(tile_extents)));
+  HEAVEN_RETURN_IF_ERROR(RunMigrationPolicy());
+  return object_id;
+}
+
+Result<ObjectId> HeavenDb::InsertObjectLocked(
+    CollectionId collection, const std::string& name, const MddArray& data,
+    std::vector<int64_t> tile_extents) {
   if (engine_->catalog()->FindObject(name).ok()) {
     return Status::AlreadyExists("object " + name);
   }
@@ -625,17 +630,15 @@ Result<ObjectId> HeavenDb::InsertObject(CollectionId collection,
     curves_.erase(object.object_id);
     return commit;
   }
-  // Publish before the migration policy so a nested export reads the
-  // fresh object through its own snapshot.
+  // Published before the caller runs the migration policy, so a migrating
+  // export reads the fresh object through its own snapshot.
   PublishSnapshot({object.object_id});
   client_clock_.Advance(options_.disk.AccessSeconds(bytes_written));
-  HEAVEN_RETURN_IF_ERROR(RunMigrationPolicy());
   return object.object_id;
 }
 
 Status HeavenDb::RunMigrationPolicy() {
   if (options_.migrate_high_watermark_bytes == 0) return Status::Ok();
-  if (exporting_) return Status::Ok();  // re-entrancy guard (overviews)
   if (engine_->blobs()->TotalBytes() <= options_.migrate_high_watermark_bytes) {
     return Status::Ok();
   }
@@ -663,7 +666,7 @@ Status HeavenDb::RunMigrationPolicy() {
       tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
       tct_cv_.NotifyOne();
     } else {
-      HEAVEN_RETURN_IF_ERROR(ExportObjectSync(object_id));
+      HEAVEN_RETURN_IF_ERROR(ExportObjectSyncLocked(object_id));
     }
   }
   return Status::Ok();
@@ -692,8 +695,12 @@ Status HeavenDb::ExportObject(ObjectId object_id) {
 }
 
 Status HeavenDb::ExportObjectSync(ObjectId object_id) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
+  return ExportObjectSyncLocked(object_id);
+}
+
+Status HeavenDb::ExportObjectSyncLocked(ObjectId object_id) {
   std::vector<SuperTileId> added;
   Status status = ExportObjectLocked(object_id, &added);
   if (!status.ok()) {
@@ -717,11 +724,6 @@ Status HeavenDb::ExportObjectSync(ObjectId object_id) {
 Status HeavenDb::ExportObjectLocked(ObjectId object_id,
                                     std::vector<SuperTileId>* added) {
   ScopedSpan span(stats_.trace(), "export.object");
-  exporting_ = true;
-  struct ExportGuard {
-    bool* flag;
-    ~ExportGuard() { *flag = false; }
-  } guard{&exporting_};
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
   std::vector<TileDescriptor> disk_tiles;
@@ -744,8 +746,9 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
         MddArray full, ReadBox(*snap, QueryContext(), object_id, object.domain));
     HEAVEN_ASSIGN_OR_RETURN(MddArray overview,
                             ScaleDown(full, options_.overview_scale_factor));
-    HEAVEN_RETURN_IF_ERROR(InsertObject(object.collection_id,
-                                        object.name + "__overview", overview)
+    HEAVEN_RETURN_IF_ERROR(InsertObjectLocked(object.collection_id,
+                                              object.name + "__overview",
+                                              overview, {})
                                .status());
   }
 
@@ -822,13 +825,7 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
     }
   }
 
-  // Persist the registry in the same transaction as the tile moves.
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
-
+  StageRegistryLocked(txn.get());
   return txn->Commit();
 }
 
@@ -899,7 +896,7 @@ Status HeavenDb::AppendAndRegister(
 }
 
 Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   const double tape_before = library_->ElapsedSeconds();
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
@@ -959,11 +956,7 @@ Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
   for (const SuperTileMeta& meta : new_metas) {
     registry_.InsertOrAssign(meta.id, meta);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  StageRegistryLocked(txn.get());
   Status status = txn->Commit();
   if (!status.ok()) {
     for (const SuperTileMeta& meta : new_metas) registry_.Erase(meta.id);
@@ -1946,7 +1939,7 @@ Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
 // ------------------------------------------------------- delete / import --
 
 Status HeavenDb::ReimportObject(ObjectId object_id) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
@@ -1999,11 +1992,7 @@ Status HeavenDb::ReimportObject(ObjectId object_id) {
     registry_.Erase(id);
     cache_->Erase(id);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  StageRegistryLocked(txn.get());
   HEAVEN_RETURN_IF_ERROR(txn->Commit());
   PublishSnapshot({object_id});
   client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
@@ -2012,7 +2001,7 @@ Status HeavenDb::ReimportObject(ObjectId object_id) {
 }
 
 Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
@@ -2125,13 +2114,7 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
       registry_changed = true;
     }
   }
-  if (registry_changed) {
-    CatalogDelta registry_delta;
-    registry_delta.op = CatalogOp::kSetSection;
-    registry_delta.name = kRegistrySection;
-    registry_delta.payload = SerializeRegistryLocked();
-    txn->UpdateCatalog(registry_delta);
-  }
+  if (registry_changed) StageRegistryLocked(txn.get());
   HEAVEN_RETURN_IF_ERROR(txn->Commit());
   PublishSnapshot({object_id});
   client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
@@ -2140,7 +2123,7 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
 }
 
 Status HeavenDb::DeleteObject(ObjectId object_id) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
@@ -2164,11 +2147,7 @@ Status HeavenDb::DeleteObject(ObjectId object_id) {
     cache_->Erase(id);
     registry_.Erase(id);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  StageRegistryLocked(txn.get());
   curves_.erase(object_id);
   HEAVEN_RETURN_IF_ERROR(PersistCurvesLocked(txn.get()));
   HEAVEN_RETURN_IF_ERROR(txn->Commit());
@@ -2178,12 +2157,13 @@ Status HeavenDb::DeleteObject(ObjectId object_id) {
 }
 
 Result<uint64_t> HeavenDb::ReclaimMedium(MediumId medium) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_ASSIGN_OR_RETURN(uint64_t used_bytes,
                           library_->MediumUsedBytes(medium));
-  // Live super-tiles on the medium, as copies: writes go back through
-  // FindMutable so the COW shards clone away from pinned snapshots.
+  // Live super-tiles on the medium, as copies: the registry is rewritten
+  // only once every copy has landed, so a failure part-way leaves it (and
+  // the published snapshot) untouched; the copies become dead extents.
   std::vector<SuperTileMeta> live;
   uint64_t live_bytes = 0;
   registry_.ForEach([&](SuperTileId, const SuperTileMeta& meta) {
@@ -2197,7 +2177,9 @@ Result<uint64_t> HeavenDb::ReclaimMedium(MediumId medium) {
             [](const SuperTileMeta& a, const SuperTileMeta& b) {
               return a.offset < b.offset;
             });
-  for (SuperTileMeta& meta : live) {
+  std::vector<SuperTileMeta> moved;
+  moved.reserve(live.size());
+  for (const SuperTileMeta& meta : live) {
     std::string container;
     // Verified read: reorganisation must never copy silent corruption
     // forward — the source medium is about to be erased.
@@ -2223,26 +2205,35 @@ Result<uint64_t> HeavenDb::ReclaimMedium(MediumId medium) {
     }
     HEAVEN_ASSIGN_OR_RETURN(uint64_t offset,
                             library_->Append(target, container));
-    SuperTileMeta* stored = registry_.FindMutable(meta.id);
-    if (stored == nullptr) {
-      return Status::Internal("super-tile " + std::to_string(meta.id) +
-                              " vanished during reclamation");
-    }
-    stored->medium = target;
-    stored->offset = offset;
+    moved.push_back(meta);
+    moved.back().medium = target;
+    moved.back().offset = offset;
   }
-  HEAVEN_RETURN_IF_ERROR(PersistRegistry());
-  HEAVEN_RETURN_IF_ERROR(library_->EraseMedium(medium));
+  // Writes clone the COW shards away from pinned snapshots.
+  for (const SuperTileMeta& meta : moved) {
+    registry_.InsertOrAssign(meta.id, meta);
+  }
+  std::unique_ptr<Transaction> txn = engine_->Begin();
+  StageRegistryLocked(txn.get());
+  Status commit = txn->Commit();
+  if (!commit.ok()) {
+    for (const SuperTileMeta& meta : live) {
+      registry_.InsertOrAssign(meta.id, meta);
+    }
+    return commit;
+  }
   // Tile descriptors did not change — only registry extents moved — so
-  // every SnapshotObject is reused; readers still pinning the old version
+  // every SnapshotObject is reused. Published before the erase, which
+  // cannot undo the committed moves; readers still pinning the old version
   // may read reused extents, which the CRC check turns into a retried
   // conflict instead of silent corruption.
   PublishSnapshot({});
+  HEAVEN_RETURN_IF_ERROR(library_->EraseMedium(medium));
   return used_bytes - live_bytes;
 }
 
 Status HeavenDb::SetObjectCurve(ObjectId object_id, CurveKind curve) {
-  WriterLock lock(db_mu_);
+  MutexLock lock(db_mu_);
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_RETURN_IF_ERROR(engine_->catalog()->GetObject(object_id).status());
   const auto it = curves_.find(object_id);

@@ -16,7 +16,6 @@
 #include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/metrics.h"
-#include "common/rw_mutex.h"
 #include "common/statistics.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -176,24 +175,26 @@ class HeavenDb {
   Result<CollectionId> CreateCollection(const std::string& name);
 
   /// Removes an empty collection; FailedPrecondition if objects remain.
-  Status DropCollection(const std::string& name);
+  Status DropCollection(const std::string& name) EXCLUDES(db_mu_);
 
   /// Inserts an object (tiled with `tile_extents`, or the default aligned
-  /// tiling when empty). Tiles land on disk; migration is a separate step.
+  /// tiling when empty). Tiles land on disk; the migration policy (see
+  /// HeavenOptions) then runs before the call returns.
   Result<ObjectId> InsertObject(CollectionId collection,
                                 const std::string& name, const MddArray& data,
-                                std::vector<int64_t> tile_extents = {});
+                                std::vector<int64_t> tile_extents = {})
+      EXCLUDES(db_mu_);
 
   // ---- Migration (export to tertiary storage) -------------------------
 
   /// Migrates all disk tiles of the object into super-tiles on tape.
   /// Synchronous unless options.decoupled_export, in which case the call
   /// enqueues the work for the TCT and returns after the handoff.
-  Status ExportObject(ObjectId object_id);
+  Status ExportObject(ObjectId object_id) EXCLUDES(db_mu_);
 
   /// The pre-HEAVEN baseline: each tile individually written to tape in
   /// insertion order with no grouping or clustering (experiment E1).
-  Status ExportObjectTileAtATime(ObjectId object_id);
+  Status ExportObjectTileAtATime(ObjectId object_id) EXCLUDES(db_mu_);
 
   /// Blocks until the TCT queue is drained. Returns the sticky TCT error
   /// (see TctLastError) if any queued export failed. Must not be called
@@ -209,7 +210,7 @@ class HeavenDb {
   void ClearTctError();
 
   /// Copies a migrated object's tiles back to disk BLOBs (re-import).
-  Status ReimportObject(ObjectId object_id);
+  Status ReimportObject(ObjectId object_id) EXCLUDES(db_mu_);
 
   /// Updates the cells of `patch.domain()` (which must lie inside the
   /// object's domain) with the values of `patch` — the thesis's
@@ -219,24 +220,26 @@ class HeavenDb {
   /// super-tile is dropped from the registry once no live tile references
   /// it). Re-export the object afterwards to migrate the new state.
   /// Precomputed results of the object are invalidated.
-  Status UpdateRegion(ObjectId object_id, const MddArray& patch);
+  Status UpdateRegion(ObjectId object_id, const MddArray& patch)
+      EXCLUDES(db_mu_);
 
   /// Removes the object (catalog, disk blobs, registry, precomputed).
   /// Tape extents become unreferenced (tape is append-only).
-  Status DeleteObject(ObjectId object_id);
+  Status DeleteObject(ObjectId object_id) EXCLUDES(db_mu_);
 
   /// Tape reorganisation: copies every live super-tile off `medium` onto
   /// the emptiest other cartridges, then erases the medium — reclaiming
   /// the dead extents that deletes/updates left behind (tape being
-  /// append-only). Returns the number of reclaimed (dead) bytes.
-  Result<uint64_t> ReclaimMedium(MediumId medium);
+  /// append-only). Returns the number of reclaimed (dead) bytes. All or
+  /// nothing: on failure the registry keeps every super-tile where it was.
+  Result<uint64_t> ReclaimMedium(MediumId medium) EXCLUDES(db_mu_);
 
   // ---- Queries ---------------------------------------------------------
   //
-  // Every query runs against a pinned DbSnapshot instead of holding
-  // db_mu_ shared: readers never block on (or even touch) the hierarchy
-  // lock, so cache-hot reads scale with cores. EXCLUDES(db_mu_) makes the
-  // no-lock-on-the-read-path invariant compiler-checked.
+  // Every query runs against a pinned DbSnapshot: readers never block on
+  // (or even touch) the mutator lock, so cache-hot reads scale with cores.
+  // EXCLUDES(db_mu_) makes the no-lock-on-the-read-path invariant
+  // compiler-checked.
   //
   // Every reader takes a trailing QueryContext carrying the QoS class, a
   // deadline on the tape clock and a cancellation token. The context rides
@@ -372,16 +375,18 @@ class HeavenDb {
   /// component exists.
   void RegisterStandardGauges();
   Status LoadRegistry();
-  Status PersistRegistry() REQUIRES(db_mu_);
   Status PersistPrecomputed();
   /// Per-object curve tags, persisted as their own catalog section so the
   /// object-descriptor encoding stays untouched.
   Status LoadCurves();
   Status PersistCurvesLocked(Transaction* txn) REQUIRES(db_mu_);
+  /// Stages the serialized registry on `txn`, so it commits atomically
+  /// with the tile moves of the same mutation.
+  void StageRegistryLocked(Transaction* txn) REQUIRES(db_mu_);
 
   /// Builds and installs a new DbSnapshot from the committed catalog and
   /// registry state. Called by every mutator after its transaction
-  /// commits, still under the exclusive db_mu_ that serializes version
+  /// commits, still under the db_mu_ that serializes version
   /// installation. Objects not in `touched` share their SnapshotObject
   /// (and its lazily built tile index) with the previous version.
   void PublishSnapshot(const std::vector<ObjectId>& touched)
@@ -391,11 +396,23 @@ class HeavenDb {
   /// same byte image the pre-snapshot std::map registry produced.
   std::string SerializeRegistryLocked() const REQUIRES(db_mu_);
 
-  /// Synchronous export implementation shared by the client path and TCT.
+  /// Insert body: validates, commits the object and its tiles, publishes
+  /// and charges the client clock. Never runs the migration policy, so the
+  /// export's overview step can call it without recursing into migration.
+  Result<ObjectId> InsertObjectLocked(CollectionId collection,
+                                      const std::string& name,
+                                      const MddArray& data,
+                                      std::vector<int64_t> tile_extents)
+      REQUIRES(db_mu_);
+
+  /// Synchronous export for the client path and the TCT: takes db_mu_ and
+  /// runs ExportObjectSyncLocked.
+  Status ExportObjectSync(ObjectId object_id) EXCLUDES(db_mu_);
+
   /// On failure every in-memory registry entry the attempt added is rolled
   /// back (the tape extents become dead data, as after a delete); on
-  /// success the export is marked committed in the journal.
-  Status ExportObjectSync(ObjectId object_id);
+  /// success the export is published and marked committed in the journal.
+  Status ExportObjectSyncLocked(ObjectId object_id) REQUIRES(db_mu_);
 
   /// Export body: partitions, clusters, writes and registers the object's
   /// disk tiles. Ids of registry entries added (even on failure) are
@@ -423,9 +440,9 @@ class HeavenDb {
   /// tape extents back and re-enqueues unfinished objects for the TCT.
   Status RecoverExports();
 
-  /// Enforces the migration watermarks (see HeavenOptions); called after
-  /// inserts, under the exclusive db_mu_ the insert already holds (the
-  /// synchronous export path re-enters db_mu_ — see RecursiveSharedMutex).
+  /// Enforces the migration watermarks (see HeavenOptions); called by
+  /// InsertObject under the db_mu_ it already holds. Synchronous
+  /// migration runs ExportObjectSyncLocked.
   Status RunMigrationPolicy() REQUIRES(db_mu_);
 
   /// The wrapper every public read runs in: the outermost profile scope
@@ -495,8 +512,8 @@ class HeavenDb {
       bool batch, const ObjectFrame* frame = nullptr);
 
   /// One box (or frame) read at `snap`. The export overview path calls it
-  /// directly with a snapshot acquired under exclusive db_mu_ (which at a
-  /// mutator's start is identical to the live state).
+  /// directly with a snapshot acquired under db_mu_ (which at a mutator's
+  /// start is identical to the live state).
   Result<MddArray> ReadBox(const DbSnapshot& snap, const QueryContext& ctx,
                            ObjectId object_id, const MdInterval& box,
                            const ObjectFrame* frame = nullptr);
@@ -647,14 +664,15 @@ class HeavenDb {
   std::unique_ptr<ThreadPool> pool_;  // analyze: unguarded(fixed at Open)
 
   /// Top-level mutator lock. Mutators (insert, export, update, delete,
-  /// reclaim) hold it exclusively; query paths do NOT take it at all —
+  /// reclaim) hold it one at a time; query paths do NOT take it at all —
   /// they run against a pinned DbSnapshot, and every component they touch
   /// (blob store, tape library, cache, clocks, statistics) is internally
-  /// locked. Exclusive ownership is recursive and covers nested shared
-  /// takes (see RecursiveSharedMutex) because exports re-enter the insert
-  /// path.
-  mutable RecursiveSharedMutex db_mu_;
-  /// Live registry, written only under exclusive db_mu_. Copy-on-write
+  /// locked. Not recursive: public mutators are EXCLUDES(db_mu_) and
+  /// nested work calls their REQUIRES(db_mu_) …Locked bodies instead.
+  /// The root of the lock order: HeavenDb's own locks below declare
+  /// ACQUIRED_AFTER it, other classes name it as "HeavenDb::db_mu_".
+  Mutex db_mu_ ACQUIRED_BEFORE(prefetch_mu_, fetch_mu_, tct_mu_);
+  /// Live registry, written only under db_mu_. Copy-on-write
   /// shards: PublishSnapshot captures a View in O(#shards), sharing every
   /// shard a mutation did not touch with older versions.
   SnapshotRegistry registry_ GUARDED_BY(db_mu_);
@@ -670,10 +688,6 @@ class HeavenDb {
   /// only retried when this is non-zero or the version advanced — serial
   /// workloads keep the exact legacy error surface, clocks and tickers.
   std::atomic<int> active_mutators_{0};
-  /// Guards against re-entrant migration while an export is in flight
-  /// (overview materialization inserts an object mid-export). Only touched
-  /// under exclusive db_mu_.
-  bool exporting_ GUARDED_BY(db_mu_) = false;
   /// Guards prefetched_ (prefetch usefulness accounting), which cache-hit
   /// readers mutate lock-free on the snapshot read path. prefetched_count_
   /// mirrors prefetched_.size() so the hot hit path can skip the mutex

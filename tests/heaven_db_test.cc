@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/env.h"
+#include "common/fault_injection.h"
 #include "common/logging.h"
 
 namespace heaven {
@@ -46,10 +51,32 @@ class HeavenDbTest : public ::testing::Test {
     collection_ = coll.value();
   }
 
+  /// Opens a database on a fresh, empty environment.
+  void OpenFreshDb(std::function<void(HeavenOptions*)> tweak) {
+    db_.reset();
+    env_ = std::make_unique<MemEnv>();
+    OpenDb(std::move(tweak));
+  }
+
   ObjectId Insert(const std::string& name, const MdInterval& domain) {
     auto id = db_->InsertObject(collection_, name, Ramp(domain));
     HEAVEN_CHECK(id.ok()) << id.status().ToString();
     return id.value();
+  }
+
+  bool AllTilesAt(ObjectId id, TileLocation location) {
+    for (const TileDescriptor& tile : db_->engine()->catalog()->ListTiles(id)) {
+      if (tile.location != location) return false;
+    }
+    return true;
+  }
+
+  /// With overviews on, `name`'s overview sibling exists and stayed on
+  /// disk: the migrating export inserted it without migrating it in turn.
+  void ExpectOverviewOnDisk(const std::string& name) {
+    auto overview = db_->FindObject(name + "__overview");
+    ASSERT_TRUE(overview.ok()) << overview.status().ToString();
+    EXPECT_TRUE(AllTilesAt(overview->object_id, TileLocation::kDisk));
   }
 
   std::unique_ptr<MemEnv> env_;
@@ -434,49 +461,65 @@ TEST_F(HeavenDbTest, MigrationPolicyDisabledByDefault) {
 
 TEST_F(HeavenDbTest, MigrationPolicyMigratesOldestFirst) {
   // Each 40x40 float object is 6.4 KB; watermarks force migration after
-  // the second insert.
-  OpenDb([](HeavenOptions* options) {
-    options->migrate_high_watermark_bytes = 10 << 10;
-    options->migrate_low_watermark_bytes = 7 << 10;
-  });
-  auto coll = db_->CreateCollection("cm");
-  ASSERT_TRUE(coll.ok());
-  auto a = db_->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {39, 39})));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(db_->RegisteredSuperTiles(), 0u);  // below watermark
-  auto b = db_->InsertObject(*coll, "b", Ramp(MdInterval({0, 0}, {39, 39})));
-  ASSERT_TRUE(b.ok());
-  // The oldest object (a) was migrated; b stays on disk.
-  bool a_on_tape = true;
-  for (const TileDescriptor& tile : db_->engine()->catalog()->ListTiles(*a)) {
-    if (tile.location != TileLocation::kTertiary) a_on_tape = false;
+  // the second insert. With overviews on, the migrating export of a also
+  // inserts the 400 B a__overview — the insert nested inside an export.
+  for (int64_t overview_scale : {1, 4}) {
+    SCOPED_TRACE("overview_scale_factor=" + std::to_string(overview_scale));
+    OpenFreshDb([&](HeavenOptions* options) {
+      options->migrate_high_watermark_bytes = 10 << 10;
+      options->migrate_low_watermark_bytes = 7 << 10;
+      options->overview_scale_factor = overview_scale;
+    });
+    auto coll = db_->CreateCollection("cm");
+    ASSERT_TRUE(coll.ok());
+    auto a =
+        db_->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {39, 39})));
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(db_->RegisteredSuperTiles(), 0u);  // below watermark
+    auto b =
+        db_->InsertObject(*coll, "b", Ramp(MdInterval({0, 0}, {39, 39})));
+    ASSERT_TRUE(b.ok());
+    // The oldest object (a) was migrated once; b stays on disk.
+    EXPECT_TRUE(AllTilesAt(*a, TileLocation::kTertiary));
+    EXPECT_TRUE(AllTilesAt(*b, TileLocation::kDisk));
+    EXPECT_LE(db_->engine()->blobs()->TotalBytes(), 7u << 10);
+    if (overview_scale > 1) ExpectOverviewOnDisk("a");
   }
-  bool b_on_disk = true;
-  for (const TileDescriptor& tile : db_->engine()->catalog()->ListTiles(*b)) {
-    if (tile.location != TileLocation::kDisk) b_on_disk = false;
-  }
-  EXPECT_TRUE(a_on_tape);
-  EXPECT_TRUE(b_on_disk);
-  EXPECT_LE(db_->engine()->blobs()->TotalBytes(), 7u << 10);
 }
 
 TEST_F(HeavenDbTest, MigrationPolicyViaTct) {
-  OpenDb([](HeavenOptions* options) {
-    options->decoupled_export = true;
-    options->migrate_high_watermark_bytes = 10 << 10;
-    options->migrate_low_watermark_bytes = 7 << 10;
-  });
-  auto coll = db_->CreateCollection("cm2");
-  ASSERT_TRUE(coll.ok());
-  ASSERT_TRUE(
-      db_->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {39, 39}))).ok());
-  ASSERT_TRUE(
-      db_->InsertObject(*coll, "b", Ramp(MdInterval({0, 0}, {39, 39}))).ok());
-  ASSERT_TRUE(db_->DrainExports().ok());
-  EXPECT_GT(db_->RegisteredSuperTiles(), 0u);
-  // Background migration never charged the client clock with tape time.
-  EXPECT_LT(db_->ClientSeconds(), 1.0);
-  EXPECT_GT(db_->TapeSeconds(), 0.0);
+  for (int64_t overview_scale : {1, 4}) {
+    SCOPED_TRACE("overview_scale_factor=" + std::to_string(overview_scale));
+    OpenFreshDb([&](HeavenOptions* options) {
+      options->decoupled_export = true;
+      options->migrate_high_watermark_bytes = 10 << 10;
+      options->migrate_low_watermark_bytes = 7 << 10;
+      options->overview_scale_factor = overview_scale;
+    });
+    auto coll = db_->CreateCollection("cm2");
+    ASSERT_TRUE(coll.ok());
+    auto a =
+        db_->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {39, 39})));
+    ASSERT_TRUE(a.ok());
+    auto b =
+        db_->InsertObject(*coll, "b", Ramp(MdInterval({0, 0}, {39, 39})));
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(db_->DrainExports().ok());
+    EXPECT_GT(db_->RegisteredSuperTiles(), 0u);
+    // Background migration never charged the client clock with tape time.
+    EXPECT_LT(db_->ClientSeconds(), 1.0);
+    EXPECT_GT(db_->TapeSeconds(), 0.0);
+    // The insert of b queued both objects (the queue drains only after
+    // the insert returns) and the TCT ran exactly those two exports: the
+    // overview inserts inside them queued nothing more.
+    EXPECT_TRUE(AllTilesAt(*a, TileLocation::kTertiary));
+    EXPECT_TRUE(AllTilesAt(*b, TileLocation::kTertiary));
+    EXPECT_EQ(db_->stats()->Get(Ticker::kTctExports), 2u);
+    if (overview_scale > 1) {
+      ExpectOverviewOnDisk("a");
+      ExpectOverviewOnDisk("b");
+    }
+  }
 }
 
 
@@ -511,6 +554,54 @@ TEST_F(HeavenDbTest, ReclaimMediumRecoversDeadBytes) {
   EXPECT_EQ(read.value(), b_data);
 }
 
+TEST_F(HeavenDbTest, FailedReclaimLeavesRegistryUntouched) {
+  // One object, one tile per container, dealt round-robin onto two media.
+  OpenFreshDb([](HeavenOptions* options) { options->library.num_media = 2; });
+  auto coll = db_->CreateCollection("r");
+  ASSERT_TRUE(coll.ok());
+  const MddArray data = Ramp(MdInterval({0, 0}, {39, 39}));
+  auto a = db_->InsertObject(*coll, "a", data, {10, 10});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(db_->ExportObjectTileAtATime(*a).ok());
+  const std::vector<SuperTileMeta> before = db_->RegistrySnapshot();
+  uint64_t container_bytes = 0;
+  for (const SuperTileMeta& meta : before) {
+    container_bytes = std::max(container_bytes, meta.size_bytes);
+  }
+  auto used0 = db_->library()->MediumUsedBytes(0);
+  auto used1 = db_->library()->MediumUsedBytes(1);
+  ASSERT_TRUE(used0.ok() && used1.ok());
+  ASSERT_EQ(*used0, *used1);
+  ASSERT_GT(*used0, 2 * container_bytes);  // several containers per medium
+
+  // Reopen with cartridges that hold one more container, not two: the
+  // reclaim of medium 0 relocates one super-tile, then runs out of space.
+  OpenDb([&](HeavenOptions* options) {
+    options->library.num_media = 2;
+    options->library.profile.capacity_bytes = *used1 + container_bytes * 3 / 2;
+  });
+  auto reclaimed = db_->ReclaimMedium(0);
+  EXPECT_EQ(reclaimed.status().code(), StatusCode::kResourceExhausted)
+      << reclaimed.status().ToString();
+  auto after1 = db_->library()->MediumUsedBytes(1);
+  ASSERT_TRUE(after1.ok());
+  EXPECT_GT(*after1, *used1);  // one copy landed before the failure
+
+  // A publishing mutator afterwards must not expose a half-moved registry.
+  ASSERT_TRUE(db_->SetObjectCurve(*a, CurveKind::kHilbert).ok());
+  const std::vector<SuperTileMeta> after = db_->RegistrySnapshot();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].medium, before[i].medium) << "super-tile " << i;
+    EXPECT_EQ(after[i].offset, before[i].offset) << "super-tile " << i;
+  }
+  EXPECT_TRUE(SerializeSuperTileMetas(after) ==
+              SerializeSuperTileMetas(before));
+  auto read = db_->ReadObject(*a);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), data);
+}
+
 TEST_F(HeavenDbTest, ReclaimEmptyMediumIsNoOp) {
   auto reclaimed = db_->ReclaimMedium(3);
   ASSERT_TRUE(reclaimed.ok());
@@ -542,6 +633,154 @@ TEST_F(HeavenDbTest, ConcurrentTctExportAndReads) {
   ASSERT_TRUE(db_->DrainExports().ok());
 }
 
+
+TEST_F(HeavenDbTest, ConcurrentMutatorsSerializeOnOneLock) {
+  // Every mutator takes the one non-recursive db_mu_, and with overviews on
+  // each export inserts its overview while holding it. Four clients drive
+  // object lifecycles at once: nothing self-deadlocks (that would hit the
+  // test timeout) and every object ends as its client's serial sequence
+  // leaves it.
+  OpenDb([](HeavenOptions* options) { options->overview_scale_factor = 4; });
+  constexpr int kClients = 4;
+  const MdInterval domain({0, 0}, {39, 39});
+  MddArray patch(MdInterval({4, 4}, {11, 11}), CellType::kFloat);
+  patch.Generate([](const MdPoint&) { return -1.0; });
+  MddArray patched = Ramp(domain);
+  for (int64_t x = 4; x <= 11; ++x) {
+    for (int64_t y = 4; y <= 11; ++y) patched.Set(MdPoint{x, y}, -1.0);
+  }
+  std::vector<ObjectId> kept(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      const std::string suffix = std::to_string(i);
+      auto a = db_->InsertObject(collection_, "a" + suffix, Ramp(domain));
+      auto b = db_->InsertObject(collection_, "b" + suffix, Ramp(domain));
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_TRUE(db_->UpdateRegion(*a, patch).ok());
+      ASSERT_TRUE(db_->ExportObject(*a).ok());
+      ASSERT_TRUE(db_->ExportObjectTileAtATime(*b).ok());
+      ASSERT_TRUE(db_->ReimportObject(*a).ok());
+      ASSERT_TRUE(db_->ExportObject(*a).ok());
+      ASSERT_TRUE(db_->SetObjectCurve(*b, CurveKind::kHilbert).ok());
+      ASSERT_TRUE(db_->DeleteObject(*b).ok());
+      kept[i] = *a;
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  auto expected_overview = ScaleDown(patched, 4);
+  ASSERT_TRUE(expected_overview.ok());
+  for (int i = 0; i < kClients; ++i) {
+    const std::string name = "a" + std::to_string(i);
+    ASSERT_NE(kept[i], 0u) << name;
+    EXPECT_TRUE(AllTilesAt(kept[i], TileLocation::kTertiary)) << name;
+    auto read = db_->ReadObject(kept[i]);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read.value(), patched) << name;
+    // The overview was taken from the patched data, once.
+    ExpectOverviewOnDisk(name);
+    auto overview = db_->FindObject(name + "__overview");
+    ASSERT_TRUE(overview.ok());
+    auto preview = db_->ReadObject(overview->object_id);
+    ASSERT_TRUE(preview.ok());
+    EXPECT_EQ(preview.value(), *expected_overview) << name;
+    EXPECT_FALSE(db_->FindObject("b" + std::to_string(i)).ok());
+  }
+}
+
+TEST_F(HeavenDbTest, ReadsDuringReclaimStayCorrect) {
+  // Reclaim moves b's super-tiles back and forth between media while a
+  // reader keeps reading b through an admit-nothing cache. A read pinning
+  // the old snapshot finds the old extents intact, or fails their CRC once
+  // the source is erased and retries on the new snapshot: every read
+  // returns b's cells.
+  OpenFreshDb([](HeavenOptions* options) { options->cache.capacity_bytes = 1; });
+  auto coll = db_->CreateCollection("r");
+  ASSERT_TRUE(coll.ok());
+  collection_ = *coll;
+  const MdInterval domain({0, 0}, {29, 29});
+  ObjectId a = Insert("a", domain);
+  ObjectId b = Insert("b", domain);
+  ASSERT_TRUE(db_->ExportObject(a).ok());
+  ASSERT_TRUE(db_->ExportObject(b).ok());
+  ASSERT_TRUE(db_->DeleteObject(a).ok());
+  const MddArray expected = Ramp(domain);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      auto read = db_->ReadObject(b);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      ASSERT_EQ(read.value(), expected);
+      reads.fetch_add(1);
+    }
+  });
+  while (reads.load() == 0) std::this_thread::yield();
+  int reclaims = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (MediumId m = 0; m < db_->library()->num_media(); ++m) {
+      auto used = db_->library()->MediumUsedBytes(m);
+      ASSERT_TRUE(used.ok());
+      if (*used == 0) continue;
+      auto reclaimed = db_->ReclaimMedium(m);
+      EXPECT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+      ++reclaims;
+    }
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GE(reclaims, 10);
+  EXPECT_GT(reads.load(), 0);
+  auto read = db_->ReadObject(b);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), expected);
+}
+
+TEST_F(HeavenDbTest, FailedExportLeavesObjectOnDisk) {
+  // One cartridge; the tape write of a later container fails, after the
+  // first ones landed (the seed fixes which).
+  OpenFreshDb([](HeavenOptions* options) { options->library.num_media = 1; });
+  auto coll = db_->CreateCollection("x");
+  ASSERT_TRUE(coll.ok());
+  const MddArray data = Ramp(MdInterval({0, 0}, {99, 99}));
+  auto a = db_->InsertObject(*coll, "a", data);
+  ASSERT_TRUE(a.ok());
+  FaultPolicy policy;
+  policy.enabled = true;
+  policy.seed = 1;
+  policy.max_faults = 1;
+  policy.tape_write_error_p = 0.5;
+  FaultInjector injector(policy, db_->stats());
+  db_->library()->SetFaultInjector(&injector);
+  Status exported = db_->ExportObject(*a);
+  db_->library()->SetFaultInjector(nullptr);
+  EXPECT_EQ(exported.code(), StatusCode::kIOError) << exported.ToString();
+  auto used = db_->library()->MediumUsedBytes(0);
+  ASSERT_TRUE(used.ok());
+  EXPECT_GT(*used, 0u);  // containers landed before the failure
+
+  // They are dead extents: the registry was rolled back, a later
+  // publishing mutator exposes nothing, and the tiles stay on disk, also
+  // across a reopen.
+  EXPECT_EQ(db_->RegisteredSuperTiles(), 0u);
+  ASSERT_TRUE(db_->SetObjectCurve(*a, CurveKind::kHilbert).ok());
+  EXPECT_EQ(db_->RegisteredSuperTiles(), 0u);
+  EXPECT_TRUE(AllTilesAt(*a, TileLocation::kDisk));
+  OpenDb([](HeavenOptions* options) { options->library.num_media = 1; });
+  EXPECT_EQ(db_->RegisteredSuperTiles(), 0u);
+  EXPECT_TRUE(AllTilesAt(*a, TileLocation::kDisk));
+  auto read = db_->ReadObject(*a);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), data);
+  // A clean retry exports the whole object.
+  ASSERT_TRUE(db_->ExportObject(*a).ok());
+  EXPECT_TRUE(AllTilesAt(*a, TileLocation::kTertiary));
+  read = db_->ReadObject(*a);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), data);
+}
 
 TEST_F(HeavenDbTest, OverviewMaterializedOnExport) {
   OpenDb([](HeavenOptions* options) { options->overview_scale_factor = 4; });

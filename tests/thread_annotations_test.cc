@@ -1,9 +1,7 @@
 // Runtime semantics of the annotated lock wrappers in
-// common/thread_annotations.h and common/rw_mutex.h: the guards must
-// actually lock/unlock what the annotations claim they do, CondVar must
-// wake waiters with the mutex re-held, and RecursiveSharedMutex must
-// allow writer re-entrancy and reader-inside-writer degradation while its
-// debug asserts reject shared recursion and reader upgrade.
+// common/thread_annotations.h: the guards must actually lock/unlock what
+// the annotations claim they do, and CondVar must wake waiters with the
+// mutex re-held.
 //
 // The *static* side — that misuse fails to compile under clang
 // -Wthread-safety — is checked by scripts/check.sh --analyze via the
@@ -15,8 +13,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/rw_mutex.h"
 
 namespace heaven {
 namespace {
@@ -35,6 +31,19 @@ TEST(MutexLockTest, GuardsCriticalSection) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter, 8000);
+}
+
+TEST(MutexTest, ExcludesOtherThreadsUntilReleased) {
+  Mutex mu;
+  mu.Lock();
+  std::thread blocked([&] { EXPECT_FALSE(mu.TryLock()); });
+  blocked.join();
+  mu.Unlock();
+  std::thread released([&] {
+    EXPECT_TRUE(mu.TryLock());
+    mu.Unlock();
+  });
+  released.join();
 }
 
 TEST(MutexLockTest, ReleasesOnDestruction) {
@@ -111,104 +120,6 @@ TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(woke, 4);
 }
-
-TEST(SharedMutexTest, ReadersShareWritersExclude) {
-  SharedMutex mu;
-  {
-    ReaderLock<SharedMutex> r1(mu);
-    // A second reader gets in alongside the first...
-    EXPECT_TRUE(mu.TryLockShared());
-    mu.UnlockShared();
-    // ...but a writer does not.
-    EXPECT_FALSE(mu.TryLock());
-  }
-  {
-    WriterLock<SharedMutex> w(mu);
-    EXPECT_FALSE(mu.TryLockShared());
-  }
-  EXPECT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
-TEST(RecursiveSharedMutexTest, WriterReentry) {
-  RecursiveSharedMutex mu;
-  WriterLock<RecursiveSharedMutex> outer(mu);
-  {
-    // ExportObjectSync -> InsertObject(overview) -> ExportObjectSync shape.
-    WriterLock<RecursiveSharedMutex> inner(mu);
-    WriterLock<RecursiveSharedMutex> innermost(mu);
-  }
-  // Still exclusively held by this thread after the inner guards unwind.
-  std::thread other([&] { EXPECT_FALSE(mu.TryLock()); });
-  other.join();
-}
-
-TEST(RecursiveSharedMutexTest, SharedDegradesInsideWriter) {
-  RecursiveSharedMutex mu;
-  WriterLock<RecursiveSharedMutex> writer(mu);
-  {
-    // Mutator calling a read path: the shared acquisition must neither
-    // deadlock nor release exclusivity when it unwinds.
-    ReaderLock<RecursiveSharedMutex> reader(mu);
-  }
-  std::thread other([&] {
-    EXPECT_FALSE(mu.TryLock());
-    EXPECT_FALSE(mu.TryLockShared());
-  });
-  other.join();
-}
-
-TEST(RecursiveSharedMutexTest, IndependentReadersShare) {
-  RecursiveSharedMutex mu;
-  ReaderLock<RecursiveSharedMutex> reader(mu);
-  std::thread other([&] {
-    EXPECT_TRUE(mu.TryLockShared());
-    mu.UnlockShared();
-    EXPECT_FALSE(mu.TryLock());
-  });
-  other.join();
-}
-
-TEST(RecursiveSharedMutexTest, WriterExcludesAfterReaderInWriterUnwinds) {
-  RecursiveSharedMutex mu;
-  {
-    WriterLock<RecursiveSharedMutex> writer(mu);
-    { ReaderLock<RecursiveSharedMutex> reader(mu); }
-  }
-  // Fully released: anyone can take it exclusively now.
-  std::thread other([&] {
-    EXPECT_TRUE(mu.TryLock());
-    mu.Unlock();
-  });
-  other.join();
-}
-
-#if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
-
-// The two constraints the static analysis cannot express are enforced by
-// debug asserts instead; both must abort loudly rather than deadlock.
-
-TEST(RecursiveSharedMutexDeathTest, SharedRecursionAsserts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RecursiveSharedMutex mu;
-  ReaderLock<RecursiveSharedMutex> reader(mu);
-  EXPECT_DEATH(mu.LockShared(), "recursive LockShared");
-}
-
-TEST(RecursiveSharedMutexDeathTest, ReaderUpgradeAsserts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RecursiveSharedMutex mu;
-  ReaderLock<RecursiveSharedMutex> reader(mu);
-  EXPECT_DEATH(mu.Lock(), "reader upgrade");
-}
-
-TEST(RecursiveSharedMutexDeathTest, UnpairedUnlockSharedAsserts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RecursiveSharedMutex mu;
-  EXPECT_DEATH(mu.UnlockShared(), "without shared ownership");
-}
-
-#endif  // !NDEBUG && GTEST_HAS_DEATH_TEST
 
 }  // namespace
 }  // namespace heaven

@@ -8,7 +8,6 @@
 //      control — proves -Wthread-safety is live and promoted to an error,
 //      i.e. the gate cannot silently rot into a no-op).
 
-#include "common/rw_mutex.h"
 #include "common/thread_annotations.h"
 
 namespace heaven {
@@ -16,14 +15,11 @@ namespace {
 
 class Annotated {
  public:
-  void Correct() {
+  // The shell/body split HeavenDb's mutators use: the public method takes
+  // the lock and calls the REQUIRES body.
+  void Correct() EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    ++counter_;
-  }
-
-  int CorrectShared() {
-    ReaderLock<RecursiveSharedMutex> lock(rw_mu_);
-    return shared_counter_;
+    Locked();
   }
 
 #ifdef HEAVEN_TSA_NEGATIVE_TEST
@@ -38,9 +34,9 @@ class Annotated {
     Locked();  // REQUIRES(mu_) violated
   }
 
-  int SharedWriteUnderReader() {
-    ReaderLock<RecursiveSharedMutex> lock(rw_mu_);
-    return ++shared_counter_;  // write needs exclusive, only shared held
+  void ReentersLockedShell() {
+    MutexLock lock(mu_);
+    Correct();  // EXCLUDES(mu_) violated: a self-deadlock at runtime
   }
 #endif
 
@@ -49,15 +45,12 @@ class Annotated {
 
   Mutex mu_;
   int counter_ GUARDED_BY(mu_) = 0;
-  RecursiveSharedMutex rw_mu_;
-  int shared_counter_ GUARDED_BY(rw_mu_) = 0;
 };
 
 // Anchor so the class is ODR-used and fully instantiated.
 void Use() {
   Annotated a;
   a.Correct();
-  (void)a.CorrectShared();
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ class Db {
 
  private:
   ThreadPool pool_;
-  RecursiveSharedMutex db_mu_;
+  Mutex db_mu_;
   Mutex work_mu_;
   long registry_ GUARDED_BY(db_mu_);
   long scratch_ GUARDED_BY(work_mu_);

@@ -37,18 +37,13 @@ KEYWORDS = {
 
 ANNOTATION_MACROS = {
     "GUARDED_BY", "PT_GUARDED_BY", "ACQUIRED_AFTER", "ACQUIRED_BEFORE",
-    "REQUIRES", "REQUIRES_SHARED", "EXCLUDES", "ACQUIRE", "ACQUIRE_SHARED",
-    "RELEASE", "RELEASE_SHARED", "RELEASE_GENERIC", "TRY_ACQUIRE",
-    "TRY_ACQUIRE_SHARED", "ASSERT_CAPABILITY", "ASSERT_SHARED_CAPABILITY",
+    "REQUIRES", "EXCLUDES", "ACQUIRE", "RELEASE", "TRY_ACQUIRE",
+    "ASSERT_CAPABILITY",
     "RETURN_CAPABILITY", "CAPABILITY", "SCOPED_CAPABILITY",
     "NO_THREAD_SAFETY_ANALYSIS", "HEAVEN_THREAD_ANNOTATION_ATTRIBUTE__",
 }
 
-GUARD_TYPES = {
-    "MutexLock": "exclusive",
-    "WriterLock": "exclusive",
-    "ReaderLock": "shared",
-}
+GUARD_TYPE = "MutexLock"
 
 POOL_ENTRY_CALLS = {"Submit", "ParallelFor"}
 
@@ -441,14 +436,9 @@ class _Parser:
         if self._looks_like_function(clean):
             # method declaration without body: keep REQUIRES annotations
             name = self._function_name(clean)
-            if name and (anns.get("REQUIRES") or
-                         anns.get("REQUIRES_SHARED")):
-                qual = f"{info.name}::{name}"
-                entry = self.facts.decl_annotations.setdefault(
-                    qual, {"requires": [], "requires_shared": []})
-                entry["requires"].extend(anns.get("REQUIRES", []))
-                entry["requires_shared"].extend(
-                    anns.get("REQUIRES_SHARED", []))
+            if name and anns.get("REQUIRES"):
+                self.facts.decl_annotations.setdefault(
+                    f"{info.name}::{name}", []).extend(anns["REQUIRES"])
             return
         if clean[0].kind == "id" and clean[0].text in (
                 "static_assert", "extern", "operator"):
@@ -520,11 +510,9 @@ class _Parser:
         if not clean or not self._looks_like_function(clean):
             return
         name = self._function_name(clean)
-        if name and (anns.get("REQUIRES") or anns.get("REQUIRES_SHARED")):
-            entry = self.facts.decl_annotations.setdefault(
-                name, {"requires": [], "requires_shared": []})
-            entry["requires"].extend(anns.get("REQUIRES", []))
-            entry["requires_shared"].extend(anns.get("REQUIRES_SHARED", []))
+        if name and anns.get("REQUIRES"):
+            self.facts.decl_annotations.setdefault(name, []).extend(
+                anns["REQUIRES"])
 
     @staticmethod
     def _function_name(clean: List[Token]) -> Optional[str]:
@@ -565,7 +553,6 @@ class _Parser:
             qualname=qual, cls=cls, file=self.path,
             line=decl[0].line if decl else self.tokens[body_start].line,
             requires=anns.get("REQUIRES", []),
-            requires_shared=anns.get("REQUIRES_SHARED", []),
         )
         self._scan_body(fn, body_start, body_end)
         self.facts.functions.append(fn)
@@ -593,19 +580,8 @@ class _Parser:
                 i += 1
                 continue
             # Guard construction: MutexLock name(expr[, kAdoptLock])
-            if t.text in GUARD_TYPES:
+            if t.text == GUARD_TYPE:
                 j = i + 1
-                if j < end and tokens[j].text == "<":
-                    depth = 0
-                    while j < end:
-                        if tokens[j].text == "<":
-                            depth += 1
-                        elif tokens[j].text == ">":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        j += 1
-                    j += 1
                 if (j < end and tokens[j].kind == "id"
                         and j + 1 < end and tokens[j + 1].text == "("):
                     close = _match_paren(tokens, j + 1)
@@ -614,7 +590,6 @@ class _Parser:
                         fn.events.append(Event(
                             "acquire", t.line, in_pool_task=in_pool(i),
                             lock_expr=args[0],
-                            lock_kind=GUARD_TYPES[t.text],
                             adopted=any("kAdoptLock" in a for a in args[1:]),
                         ))
                     i = close

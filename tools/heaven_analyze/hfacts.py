@@ -19,7 +19,7 @@ reason:
   // analyze: wallclock(<reason>)   -- wall-clock call is a sanctioned
                                        measurement site
   // analyze: leaf-lock             -- mutex acquires no further lock while
-                                       held (lint.sh rule 8 marker; rule
+                                       held (lint.sh rule 7 marker; rule
                                        lock-order enforces it)
   // analyze: pool-safe(<reason>)   -- function is safe to run on the pool
                                        even though the heuristic reachability
@@ -32,7 +32,7 @@ import dataclasses
 import re
 from typing import Dict, List, Optional, Set, Tuple
 
-MUTEX_TYPES = ("Mutex", "SharedMutex", "RecursiveSharedMutex")
+MUTEX_TYPES = ("Mutex",)
 SYNC_TYPES = MUTEX_TYPES + ("CondVar",)
 
 WAIVER_RE = re.compile(
@@ -59,7 +59,7 @@ class Member:
     is_const: bool = False
     is_static: bool = False
     is_atomic: bool = False
-    is_mutex: bool = False  # value member of Mutex/SharedMutex/Recursive...
+    is_mutex: bool = False  # value member of type Mutex
     is_sync: bool = False   # mutex or CondVar (never needs a guard itself)
     guarded_by: Optional[str] = None
     pt_guarded_by: Optional[str] = None
@@ -93,7 +93,6 @@ class Event:
     in_pool_task: bool = False
     # acquire:
     lock_expr: str = ""
-    lock_kind: str = ""  # exclusive | shared
     adopted: bool = False
     # call / access:
     name: str = ""
@@ -106,7 +105,6 @@ class FunctionInfo:
     file: str
     line: int
     requires: List[str] = dataclasses.field(default_factory=list)
-    requires_shared: List[str] = dataclasses.field(default_factory=list)
     events: List[Event] = dataclasses.field(default_factory=list)
 
     @property
@@ -126,8 +124,8 @@ class Facts:
     # metrics completeness) and waiver adjacency lookups.
     files: Dict[str, str] = dataclasses.field(default_factory=dict)
     # declaration-level annotations merged from headers:
-    # qualname -> {"requires": [...], "requires_shared": [...]}
-    decl_annotations: Dict[str, Dict[str, List[str]]] = dataclasses.field(
+    # qualname -> the locks its REQUIRES names
+    decl_annotations: Dict[str, List[str]] = dataclasses.field(
         default_factory=dict)
 
     def add_waiver(self, waiver: Waiver) -> None:

@@ -146,10 +146,7 @@ def _locks_acquired_inside(facts: Facts, resolver: LockResolver,
 
 def _entry_held(facts: Facts, resolver: LockResolver,
                 fn: FunctionInfo) -> List[str]:
-    reqs = list(fn.requires) + list(fn.requires_shared)
-    decl = facts.decl_annotations.get(fn.qualname)
-    if decl:
-        reqs += decl["requires"] + decl["requires_shared"]
+    reqs = list(fn.requires) + facts.decl_annotations.get(fn.qualname, [])
     return [resolver.resolve(r, fn.cls, fn.file) for r in reqs]
 
 
