@@ -49,8 +49,6 @@ MetricsRegistry::MetricsRegistry(Statistics* stats) : stats_(stats) {}
 
 MetricsRegistry::~MetricsRegistry() { StopSampler(); }
 
-void MetricsRegistry::SetStatistics(Statistics* stats) { stats_.store(stats); }
-
 void MetricsRegistry::RegisterGauge(const std::string& name,
                                     const std::string& help,
                                     MetricLabels labels,
@@ -162,7 +160,7 @@ std::vector<GaugeSample> MetricsRegistry::LatestSamples() const {
 
 std::string MetricsRegistry::ToPrometheusText() const {
   std::string out;
-  const Statistics* stats = stats_.load();
+  const Statistics* stats = stats_;
   if (stats != nullptr) {
     for (int i = 0; i < static_cast<int>(Ticker::kNumTickers); ++i) {
       const Ticker ticker = static_cast<Ticker>(i);
@@ -236,7 +234,7 @@ std::string MetricsRegistry::ToJson() const {
     }
     out += "]";
   }
-  const Statistics* stats = stats_.load();
+  const Statistics* stats = stats_;
   out += ",\"stats\":";
   out += stats != nullptr ? stats->ToJson() : std::string("null");
   out.push_back('}');
@@ -321,36 +319,54 @@ std::string QueryProfile::ToJson() const {
   return out;
 }
 
-namespace {
-
-/// The query profile the calling thread is currently populating, if any,
-/// together with the profiler that owns it (multiple HeavenDb instances —
-/// hence profilers — coexist in tests).
-struct TlsProfile {
-  QueryProfiler* owner = nullptr;
-  QueryProfile profile;
-};
-
-TlsProfile& Tls() {
-  static thread_local TlsProfile tls;
-  return tls;
+ActiveQuery::ActiveQuery(QueryProfiler* profiler, std::string label)
+    : profiler_(profiler), sim_begin_(SimNow()), wall_begin_(WallNow()) {
+  profile_.query_id = profiler->next_query_id_.fetch_add(1);
+  profile_.label = std::move(label);
 }
 
-}  // namespace
+double ActiveQuery::SimNow() const {
+  const SimClock* clock = profiler_->clock_.load(std::memory_order_relaxed);
+  return clock != nullptr ? clock->Now() : 0.0;
+}
 
-QueryProfiler::~QueryProfiler() = default;
-
-double QueryProfiler::WallNow() {
+double ActiveQuery::WallNow() {
   return std::chrono::duration<double>(
              // analyze: wallclock(profiler wall-time axis; sim is SimNow)
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-double QueryProfiler::SimNow() const {
-  const SimClock* clock = clock_.load(std::memory_order_relaxed);
-  return clock != nullptr ? clock->Now() : 0.0;
+void ActiveQuery::Credit(ProfileStage stage, double sim_seconds,
+                         double wall_seconds, uint64_t bytes) {
+  MutexLock lock(mu_);
+  ProfileStageData& data = profile_.stages[static_cast<size_t>(stage)];
+  data.sim_seconds += sim_seconds;
+  data.wall_seconds += wall_seconds;
+  data.bytes += bytes;
+  data.count += 1;
 }
+
+void ActiveQuery::Count(uint64_t QueryProfile::*counter) {
+  MutexLock lock(mu_);
+  ++(profile_.*counter);
+}
+
+void ActiveQuery::SetOutcome(std::string outcome) {
+  MutexLock lock(mu_);
+  profile_.outcome = std::move(outcome);
+}
+
+QueryProfile ActiveQuery::Finish() {
+  const double sim_seconds = SimNow() - sim_begin_;
+  const double wall_seconds = WallNow() - wall_begin_;
+  MutexLock lock(mu_);
+  profile_.total_sim_seconds = sim_seconds;
+  profile_.total_wall_seconds = wall_seconds;
+  return std::move(profile_);
+}
+
+QueryProfiler::~QueryProfiler() = default;
 
 bool QueryProfiler::Last(QueryProfile* out) const {
   MutexLock lock(mu_);
@@ -377,9 +393,14 @@ void QueryProfiler::Clear() {
 
 void QueryProfiler::NoteOutcome(std::string outcome) {
   if (!enabled()) return;
-  TlsProfile& tls = Tls();
-  if (tls.owner != this) return;
-  tls.profile.outcome = std::move(outcome);
+  ActiveQuery* query = CurrentTraceContext().query;
+  if (query == nullptr || query->profiler() != this) return;
+  query->SetOutcome(std::move(outcome));
+}
+
+void QueryProfiler::Count(uint64_t QueryProfile::*counter) {
+  ActiveQuery* query = CurrentTraceContext().query;
+  if (query != nullptr) query->Count(counter);
 }
 
 void QueryProfiler::Publish(QueryProfile profile) {
@@ -389,64 +410,18 @@ void QueryProfiler::Publish(QueryProfile profile) {
   ++recorded_;
 }
 
-QueryProfiler::Scope::Scope(QueryProfiler* profiler, std::string label)
-    : profiler_(profiler) {
-  if (profiler_ == nullptr || !profiler_->enabled()) return;
-  TlsProfile& tls = Tls();
-  if (tls.owner != nullptr) return;  // nested: the outer query keeps it
-  tls.owner = profiler_;
-  tls.profile = QueryProfile{};
-  tls.profile.query_id = profiler_->next_query_id_.fetch_add(1);
-  tls.profile.label = std::move(label);
-  sim_begin_ = profiler_->SimNow();
-  wall_begin_ = WallNow();
-  const Statistics* stats = profiler_->stats_.load();
-  if (stats != nullptr) {
-    hits_begin_ = stats->Get(Ticker::kCacheHits);
-    misses_begin_ = stats->Get(Ticker::kCacheMisses);
-    coalesced_begin_ = stats->Get(Ticker::kFetchCoalesced);
-  }
-  owner_ = true;
+QueryProfiler::Scope::Scope(QueryProfiler* profiler, std::string label) {
+  if (profiler == nullptr || !profiler->enabled()) return;
+  TraceContext& context = CurrentTraceContext();
+  if (context.query != nullptr) return;  // nested: the outer query keeps it
+  query_.emplace(profiler, std::move(label));
+  context.query = &*query_;
 }
 
 QueryProfiler::Scope::~Scope() {
-  if (!owner_) return;
-  TlsProfile& tls = Tls();
-  QueryProfile profile = std::move(tls.profile);
-  tls.owner = nullptr;
-  tls.profile = QueryProfile{};
-  profile.total_sim_seconds = profiler_->SimNow() - sim_begin_;
-  profile.total_wall_seconds = WallNow() - wall_begin_;
-  const Statistics* stats = profiler_->stats_.load();
-  if (stats != nullptr) {
-    profile.cache_hits = stats->Get(Ticker::kCacheHits) - hits_begin_;
-    profile.cache_misses = stats->Get(Ticker::kCacheMisses) - misses_begin_;
-    profile.fetches_coalesced =
-        stats->Get(Ticker::kFetchCoalesced) - coalesced_begin_;
-  }
-  profiler_->Publish(std::move(profile));
-}
-
-QueryProfiler::StageTimer::StageTimer(QueryProfiler* profiler,
-                                      ProfileStage stage)
-    : profiler_(profiler), stage_(stage) {
-  if (profiler_ == nullptr || !profiler_->enabled()) return;
-  if (Tls().owner != profiler_) return;  // no active profile on this thread
-  active_ = true;
-  sim_begin_ = profiler_->SimNow();
-  wall_begin_ = WallNow();
-}
-
-QueryProfiler::StageTimer::~StageTimer() {
-  if (!active_) return;
-  TlsProfile& tls = Tls();
-  if (tls.owner != profiler_) return;  // scope ended before the timer
-  ProfileStageData& data =
-      tls.profile.stages[static_cast<size_t>(stage_)];
-  data.sim_seconds += profiler_->SimNow() - sim_begin_;
-  data.wall_seconds += WallNow() - wall_begin_;
-  data.bytes += bytes_;
-  data.count += 1;
+  if (!query_.has_value()) return;
+  CurrentTraceContext().query = nullptr;  // the context this scope opened in
+  query_->profiler()->Publish(query_->Finish());
 }
 
 }  // namespace heaven

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -53,8 +54,6 @@ class MetricsRegistry {
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  void SetStatistics(Statistics* stats);
 
   /// Registers a sampled gauge. `name` uses the dotted metric namespace
   /// ("cache.shard_bytes"); `labels` distinguish instances of the same
@@ -105,7 +104,7 @@ class MetricsRegistry {
 
   void SamplerLoop(double interval_seconds);
 
-  std::atomic<Statistics*> stats_;
+  Statistics* const stats_;  // may be null: no tickers or histograms
   mutable Mutex mu_ ACQUIRED_BEFORE("TraceCollector::mu_");
   CondVar sampler_cv_{&mu_};
   std::vector<Gauge> gauges_ GUARDED_BY(mu_);
@@ -121,14 +120,23 @@ class MetricsRegistry {
 // ------------------------------------------------------------------------
 
 /// The stages a retrieval decomposes into along the ReadRegion / RasQL
-/// path. Matches the span names of the trace tree so a profile reconciles
-/// with the spans it summarizes.
+/// path. Each stage is the stage-tagged ScopedSpan of the same site, so a
+/// profile reconciles with the spans it summarizes:
+///
+///   stage             span              runs on
+///   kParsePlan        rasql.parse       query thread
+///   kIndexLookup      index.lookup      query thread
+///   kSchedule         schedule          query thread
+///   kTapeFetch        supertile.fetch   query thread (tape read + CRC)
+///   kDecode           supertile.decode  pool worker (inline at 1 thread)
+///   kScatter          array.scatter     query thread (copies fan out)
+///   kSnapshotAcquire  snap.acquire      query thread
 enum class ProfileStage : int {
   kParsePlan = 0,  // RasQL parse + plan
   kIndexLookup,    // R+-tree / index probe for intersecting tiles
   kSchedule,       // tape scheduler batch construction
   kTapeFetch,      // simulated tape transfer incl. retries (sim seconds)
-  kDecode,         // container decode + cache admission (wall seconds)
+  kDecode,         // container decode (wall seconds; no sim time)
   kScatter,        // copying tile bytes into the result region
   kSnapshotAcquire,  // pinning the metadata snapshot (near-zero by design)
   kNumStages,      // must be last
@@ -145,18 +153,21 @@ struct ProfileStageData {
 };
 
 /// Execution profile of one query. Totals are measured against the same
-/// clocks as the stages, so `sum(stage sim_seconds) <= total_sim_seconds`
-/// and in the serial path (num_threads == 1, all sim costs inside the
-/// fetch loop) the tape-fetch stage equals the query's trace-span
-/// duration.
+/// clocks as the stages. Sim time: `sum(stage sim_seconds) <=
+/// total_sim_seconds`, and in the serial path (num_threads == 1, all sim
+/// costs inside the fetch loop) the tape-fetch stage equals the query's
+/// trace-span duration. Wall time: stages on pool workers (decode) overlap
+/// the query thread, so stage wall times may sum to more than
+/// `total_wall_seconds`.
 struct QueryProfile {
   uint64_t query_id = 0;
   std::string label;  // e.g. "read_region", "rasql"
   double total_sim_seconds = 0.0;
   double total_wall_seconds = 0.0;
-  uint64_t cache_hits = 0;       // delta of Ticker::kCacheHits
-  uint64_t cache_misses = 0;     // delta of Ticker::kCacheMisses
-  uint64_t fetches_coalesced = 0;  // delta of Ticker::kFetchCoalesced
+  /// Counted by this query's own super-tile lookups (exact per query).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t fetches_coalesced = 0;  // waits on another query's fetch
   /// How the query ended: "ok" (default), "shed", "deadline_exceeded",
   /// "cancelled" or "error" — set via QueryProfiler::NoteOutcome by the
   /// admission controller and the query entry points.
@@ -174,16 +185,47 @@ struct QueryProfile {
   std::string ToJson() const;
 };
 
-/// Collects QueryProfiles along the query path. Disabled by default: every
-/// hook first checks an atomic flag, so the instrumented fast path costs
-/// one relaxed load. The active profile is thread-local — stage timers on
-/// the query thread attribute to the query that opened the Scope; pool
-/// workers (no active profile) attribute nothing, which is correct for
-/// simulated time because decode work consumes none by design.
-///
-/// Ticker deltas (cache hits/misses, coalesced fetches) are read from the
-/// shared Statistics at scope begin/end; they are exact when one query
-/// runs at a time and approximate under concurrency.
+class QueryProfiler;
+
+/// The profile of one running query, shared by every thread working for
+/// it: the query thread and the pool tasks it enqueued reach it through
+/// TraceContext::query. Credits and counts take its lock, so pool workers
+/// credit the submitting query race-free. Pool tasks carrying it are
+/// joined before the query's Scope closes (see HeavenDb::FetchSuperTiles).
+class ActiveQuery {
+ public:
+  ActiveQuery(QueryProfiler* profiler, std::string label);
+
+  ActiveQuery(const ActiveQuery&) = delete;
+  ActiveQuery& operator=(const ActiveQuery&) = delete;
+
+  QueryProfiler* profiler() const { return profiler_; }
+
+  /// Adds one timed section to `stage`.
+  void Credit(ProfileStage stage, double sim_seconds, double wall_seconds,
+              uint64_t bytes);
+  /// Bumps one per-query counter (&QueryProfile::cache_hits, ...).
+  void Count(uint64_t QueryProfile::*counter);
+  void SetOutcome(std::string outcome);
+  /// The profile with its totals measured up to now.
+  QueryProfile Finish();
+
+  /// The profile's two time axes: the profiler's sim clock (0 without
+  /// one) and the host's steady wall clock, in seconds.
+  double SimNow() const;
+  static double WallNow();
+
+ private:
+  QueryProfiler* const profiler_;
+  const double sim_begin_;
+  const double wall_begin_;
+  Mutex mu_;  // analyze: leaf-lock
+  QueryProfile profile_ GUARDED_BY(mu_);
+};
+
+/// Collects QueryProfiles along the query path. Disabled by default: a
+/// disabled profiler opens no ActiveQuery, so every stage-tagged span
+/// finds none in the thread's TraceContext and records nothing.
 class QueryProfiler {
  public:
   QueryProfiler() = default;
@@ -192,12 +234,10 @@ class QueryProfiler {
   QueryProfiler(const QueryProfiler&) = delete;
   QueryProfiler& operator=(const QueryProfiler&) = delete;
 
-  /// The simulated clock stage timers read (the tape-library clock, the
-  /// same one trace spans are stamped against). May be null: sim times
-  /// then record as zero.
+  /// The simulated clock stage-tagged spans read (the tape-library clock,
+  /// the same one trace spans are stamped against). May be null: sim
+  /// times then record as zero.
   void SetClock(const SimClock* clock) { clock_.store(clock); }
-  /// Source of the per-query ticker deltas. May be null.
-  void SetStatistics(const Statistics* stats) { stats_.store(stats); }
 
   void SetEnabled(bool enabled) { enabled_.store(enabled); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -207,6 +247,11 @@ class QueryProfiler {
   /// active profile owned by this profiler.
   void NoteOutcome(std::string outcome);
 
+  /// Bumps a counter of the calling thread's active query (no-op without
+  /// one). The fetch path counts its own cache hits, misses and coalesced
+  /// waits this way, so they are exact under any concurrency.
+  static void Count(uint64_t QueryProfile::*counter);
+
   /// Most recent completed profile; false if none recorded yet.
   bool Last(QueryProfile* out) const;
   /// Up to kMaxRecent most recent profiles, oldest first.
@@ -215,7 +260,7 @@ class QueryProfiler {
   void Clear();
 
   /// RAII over one query. Begins a profile only when the profiler is
-  /// enabled and the calling thread has no active profile — nested scopes
+  /// enabled and the calling thread has no active query — nested scopes
   /// (ReadRegion inside a RasQL statement) keep accumulating into the
   /// outermost query. The profile is published on destruction.
   class Scope {
@@ -226,58 +271,22 @@ class QueryProfiler {
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
-    /// True when this scope owns the thread's active profile.
-    bool active() const { return owner_; }
+    /// True when this scope owns the thread's active query.
+    bool active() const { return query_.has_value(); }
 
    private:
-    QueryProfiler* profiler_;
-    bool owner_ = false;
-    double sim_begin_ = 0.0;
-    double wall_begin_ = 0.0;
-    uint64_t hits_begin_ = 0;
-    uint64_t misses_begin_ = 0;
-    uint64_t coalesced_begin_ = 0;
-  };
-
-  /// RAII over one stage section. Measures sim + wall time between
-  /// construction and destruction and adds them (plus AddBytes totals) to
-  /// the thread's active profile. No-op when the thread has no active
-  /// profile owned by `profiler`.
-  class StageTimer {
-   public:
-    StageTimer(QueryProfiler* profiler, ProfileStage stage);
-    ~StageTimer();
-
-    StageTimer(const StageTimer&) = delete;
-    StageTimer& operator=(const StageTimer&) = delete;
-
-    void AddBytes(uint64_t bytes) { bytes_ += bytes; }
-    bool active() const { return active_; }
-
-   private:
-    QueryProfiler* profiler_;
-    ProfileStage stage_;
-    bool active_ = false;
-    double sim_begin_ = 0.0;
-    double wall_begin_ = 0.0;
-    uint64_t bytes_ = 0;
+    std::optional<ActiveQuery> query_;
   };
 
   static constexpr size_t kMaxRecent = 32;
 
  private:
-  friend class Scope;
-  friend class StageTimer;
-
-  /// Host wall clock in seconds (steady).
-  static double WallNow();
-  double SimNow() const;
+  friend class ActiveQuery;
 
   void Publish(QueryProfile profile);
 
   std::atomic<bool> enabled_{false};
   std::atomic<const SimClock*> clock_{nullptr};
-  std::atomic<const Statistics*> stats_{nullptr};
   std::atomic<uint64_t> next_query_id_{1};
   mutable Mutex mu_;  // analyze: leaf-lock
   std::deque<QueryProfile> recent_ GUARDED_BY(mu_);

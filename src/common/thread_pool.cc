@@ -4,8 +4,7 @@
 
 namespace heaven {
 
-ThreadPool::ThreadPool(size_t num_threads, TraceCollector* trace)
-    : trace_(trace) {
+ThreadPool::ThreadPool(size_t num_threads) {
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -23,19 +22,16 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Enqueue(std::function<void()> task) {
   if (workers_.empty()) {
-    // The submitter's own span stack already parents any span the task
-    // opens, so no ambient-parent handoff is needed.
+    // The task runs under the submitter's own context already.
     task();
     return;
   }
-  if (trace_ != nullptr && trace_->enabled()) {
-    const SpanId parent = trace_->CurrentSpanId();
-    if (parent != 0) {
-      task = [trace = trace_, parent, inner = std::move(task)] {
-        ScopedSpanParent guard(trace, parent);
-        inner();
-      };
-    }
+  const TraceContext context = TraceContext::Capture();
+  if (!context.empty()) {
+    task = [context, inner = std::move(task)] {
+      ScopedTraceContext guard(context);
+      inner();
+    };
   }
   {
     MutexLock lock(mu_);

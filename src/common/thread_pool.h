@@ -21,10 +21,11 @@ namespace heaven {
 /// pool lets it overlap with the (serial, tape-ordered) transfer loop and
 /// fan out across cores.
 ///
-/// Trace propagation: when constructed with a TraceCollector, every task
-/// remembers the submitting thread's innermost open span and installs it as
-/// the ambient parent on the worker, so spans opened inside pool tasks hang
-/// below the span that enqueued them instead of forming orphan roots.
+/// Trace propagation: every task a worker runs carries the submitting
+/// thread's TraceContext (TraceContext::Capture), so spans opened inside it
+/// hang below the span that enqueued it, stage-tagged spans credit the
+/// submitting query, and neither consumes simulated time. A submitter that
+/// hands a query over must join the task before the query's scope closes.
 ///
 /// A pool with zero workers runs every task inline on the submitting
 /// thread, in submission order.
@@ -34,9 +35,8 @@ namespace heaven {
 /// and wait on them before their captured state goes out of scope.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (zero: tasks run inline). `trace` may be
-  /// null.
-  explicit ThreadPool(size_t num_threads, TraceCollector* trace = nullptr);
+  /// Spawns `num_threads` workers (zero: tasks run inline).
+  explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -73,11 +73,10 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  /// Wraps the task with ambient-parent trace propagation and queues it;
+  /// Wraps the task with the submitter's trace context and queues it;
   /// runs it right away when the pool has no workers.
   void Enqueue(std::function<void()> task);
 
-  TraceCollector* trace_;  // analyze: unguarded(internally locked)
   mutable Mutex mu_;  // analyze: leaf-lock
   CondVar cv_{&mu_};
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);

@@ -1,53 +1,22 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "common/coding.h"
+#include "common/metrics.h"
 
 namespace heaven {
 
-void TraceCollector::SetClock(const SimClock* clock) {
-  MutexLock lock(mu_);
-  clock_ = clock;
+double TraceCollector::Now() const {
+  const SimClock* clock = clock_.load(std::memory_order_relaxed);
+  return clock != nullptr ? clock->Now() : 0.0;
 }
 
-SpanId TraceCollector::BeginSpan(std::string_view name) {
+void TraceCollector::Record(Span span) {
   MutexLock lock(mu_);
-  Span span;
-  span.id = next_id_++;
-  span.name = std::string(name);
-  span.start = clock_ != nullptr ? clock_->Now() : 0.0;
-  std::vector<SpanId>& stack = stacks_[std::this_thread::get_id()];
-  if (!stack.empty()) {
-    span.parent = stack.back();
-  } else {
-    auto ambient_it = ambient_.find(std::this_thread::get_id());
-    span.parent = ambient_it != ambient_.end() ? ambient_it->second : 0;
-  }
-  stack.push_back(span.id);
-  const SpanId id = span.id;
-  open_.emplace(id, std::move(span));
-  return id;
-}
-
-void TraceCollector::EndSpan(SpanId id, uint64_t bytes) {
-  MutexLock lock(mu_);
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  Span span = std::move(it->second);
-  open_.erase(it);
-  span.end = clock_ != nullptr ? clock_->Now() : span.start;
-  span.bytes = bytes;
-
-  auto stack_it = stacks_.find(std::this_thread::get_id());
-  if (stack_it != stacks_.end()) {
-    std::vector<SpanId>& stack = stack_it->second;
-    // RAII guarantees LIFO per thread; erase defensively anyway.
-    stack.erase(std::remove(stack.begin(), stack.end(), id), stack.end());
-    if (stack.empty()) stacks_.erase(stack_it);
-  }
-
+  if (span.id < first_live_id_) return;  // opened before Clear()
   finished_.push_back(std::move(span));
   while (finished_.size() > capacity_) {
     finished_.pop_front();
@@ -69,29 +38,6 @@ size_t TraceCollector::capacity() const {
   return capacity_;
 }
 
-SpanId TraceCollector::CurrentSpanId() const {
-  MutexLock lock(mu_);
-  auto stack_it = stacks_.find(std::this_thread::get_id());
-  if (stack_it != stacks_.end() && !stack_it->second.empty()) {
-    return stack_it->second.back();
-  }
-  auto ambient_it = ambient_.find(std::this_thread::get_id());
-  return ambient_it != ambient_.end() ? ambient_it->second : 0;
-}
-
-SpanId TraceCollector::SetAmbientParent(SpanId parent) {
-  MutexLock lock(mu_);
-  const std::thread::id tid = std::this_thread::get_id();
-  auto it = ambient_.find(tid);
-  const SpanId previous = it != ambient_.end() ? it->second : 0;
-  if (parent == 0) {
-    if (it != ambient_.end()) ambient_.erase(it);
-  } else {
-    ambient_[tid] = parent;
-  }
-  return previous;
-}
-
 std::vector<Span> TraceCollector::Spans() const {
   MutexLock lock(mu_);
   std::vector<Span> spans(finished_.begin(), finished_.end());
@@ -108,11 +54,8 @@ uint64_t TraceCollector::dropped() const {
 void TraceCollector::Clear() {
   MutexLock lock(mu_);
   finished_.clear();
-  open_.clear();
-  stacks_.clear();
-  ambient_.clear();
   dropped_ = 0;
-  next_id_ = 1;
+  first_live_id_ = next_id_.load();
 }
 
 std::string TraceCollector::ToJson() const {
@@ -153,24 +96,47 @@ std::string TraceCollector::ToString() const {
   return out.str();
 }
 
-ScopedSpan::ScopedSpan(TraceCollector* collector, std::string_view name) {
-  if (collector == nullptr || !collector->enabled()) return;
+TraceContext TraceContext::Capture() {
+  TraceContext context = CurrentTraceContext();
+  if (context.empty() || context.handed_over) return context;
+  context.handed_over = true;
+  context.sim_now = context.collector != nullptr ? context.collector->Now()
+                                                 : context.query->SimNow();
+  return context;
+}
+
+ScopedSpan::ScopedSpan(TraceCollector* collector, std::string_view name,
+                       std::optional<ProfileStage> stage) {
+  const bool tracing = collector != nullptr && collector->enabled();
+  if (!tracing && !stage.has_value()) return;
+  TraceContext& context = CurrentTraceContext();
+  pinned_ = context.handed_over;
+  if (stage.has_value() && context.query != nullptr) {
+    query_ = context.query;
+    stage_ = *stage;
+    stage_sim_ = pinned_ ? 0.0 : query_->SimNow();
+    stage_wall_ = ActiveQuery::WallNow();
+  }
+  if (!tracing) return;
   collector_ = collector;
-  id_ = collector->BeginSpan(name);
+  saved_ = context;
+  id_ = collector->next_id_.fetch_add(1, std::memory_order_relaxed);
+  parent_ = context.collector == collector ? context.span : 0;
+  name_ = name;
+  start_ = pinned_ ? context.sim_now : collector->Now();
+  context.collector = collector;
+  context.span = id_;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (collector_ != nullptr) collector_->EndSpan(id_, bytes_);
-}
-
-ScopedSpanParent::ScopedSpanParent(TraceCollector* collector, SpanId parent) {
-  if (collector == nullptr || !collector->enabled()) return;
-  collector_ = collector;
-  previous_ = collector->SetAmbientParent(parent);
-}
-
-ScopedSpanParent::~ScopedSpanParent() {
-  if (collector_ != nullptr) collector_->SetAmbientParent(previous_);
+  if (query_ != nullptr) {
+    query_->Credit(stage_, pinned_ ? 0.0 : query_->SimNow() - stage_sim_,
+                   ActiveQuery::WallNow() - stage_wall_, bytes_);
+  }
+  if (collector_ == nullptr) return;
+  CurrentTraceContext() = saved_;
+  const double end = pinned_ ? start_ : collector_->Now();
+  collector_->Record({id_, parent_, std::move(name_), start_, end, bytes_});
 }
 
 }  // namespace heaven

@@ -4,10 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -16,6 +15,8 @@
 namespace heaven {
 
 using SpanId = uint64_t;
+enum class ProfileStage : int;  // common/metrics.h
+class ActiveQuery;              // common/metrics.h
 
 /// One finished trace span: a named, nested interval on the simulated
 /// timeline. Durations are simulated seconds (the clock the collector is
@@ -31,10 +32,10 @@ struct Span {
   double duration() const { return end - start; }
 };
 
-/// Collects nested spans across threads. Disabled by default: a disabled
-/// collector costs one relaxed atomic load per ScopedSpan construction and
-/// nothing else. Span nesting is tracked per thread, so spans opened on
-/// the TCT worker form their own tree next to client-thread query spans.
+/// Collects finished spans from every thread into a bounded ring. Disabled
+/// by default: a disabled collector costs one relaxed atomic load per
+/// ScopedSpan. Nesting lives in each thread's TraceContext, not here, so a
+/// span takes the collector's mutex once, when it finishes.
 class TraceCollector {
  public:
   TraceCollector() = default;
@@ -44,18 +45,13 @@ class TraceCollector {
 
   /// Timestamps for subsequent spans are read from `clock` (not owned).
   /// Pass nullptr to fall back to zero timestamps (structure-only traces).
-  void SetClock(const SimClock* clock);
+  void SetClock(const SimClock* clock) { clock_.store(clock); }
 
   void Enable(bool enabled) { enabled_.store(enabled); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Finished spans in begin order (parents before their children).
   std::vector<Span> Spans() const;
-
-  /// Innermost open span of the calling thread (the ambient parent when
-  /// the thread has no open span of its own; 0 when neither exists). Used
-  /// to hand a parent across threads when enqueuing pool work.
-  SpanId CurrentSpanId() const;
 
   /// Bounds the finished-span ring buffer. When a span finishes with the
   /// buffer full, the *oldest* finished span is evicted (and counted in
@@ -69,6 +65,8 @@ class TraceCollector {
   /// metric). 0 until the buffer wraps.
   uint64_t dropped() const;
 
+  /// Drops every finished span. Spans still open are not recorded when
+  /// they close; ids keep counting, so they never collide with new spans.
   void Clear();
 
   /// {"spans":[{"id":..,"parent":..,"name":..,"start":..,"end":..,
@@ -80,72 +78,106 @@ class TraceCollector {
 
  private:
   friend class ScopedSpan;
-  friend class ScopedSpanParent;
+  friend struct TraceContext;
 
   /// Default ring-buffer capacity; caps memory for long-running processes.
   static constexpr size_t kDefaultMaxSpans = 1 << 20;
 
-  SpanId BeginSpan(std::string_view name);
-  void EndSpan(SpanId id, uint64_t bytes);
-
-  /// Installs `parent` as the calling thread's ambient parent (adopted by
-  /// spans opened while the thread's own stack is empty); returns the
-  /// previous ambient parent for restoration.
-  SpanId SetAmbientParent(SpanId parent);
+  double Now() const;
+  void Record(Span span);
 
   mutable Mutex mu_ ACQUIRED_AFTER("HeavenDb::db_mu_");
   std::atomic<bool> enabled_{false};
-  const SimClock* clock_ GUARDED_BY(mu_) = nullptr;
-  SpanId next_id_ GUARDED_BY(mu_) = 1;
+  std::atomic<const SimClock*> clock_{nullptr};
+  std::atomic<SpanId> next_id_{1};
+  /// Spans with a smaller id were opened before the last Clear().
+  SpanId first_live_id_ GUARDED_BY(mu_) = 1;
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
-  std::map<SpanId, Span> open_ GUARDED_BY(mu_);
-  std::map<std::thread::id, std::vector<SpanId>> stacks_ GUARDED_BY(mu_);
-  /// Cross-thread parent handoff (see SetAmbientParent); entries with
-  /// value 0 are erased.
-  std::map<std::thread::id, SpanId> ambient_ GUARDED_BY(mu_);
   size_t capacity_ GUARDED_BY(mu_) = kDefaultMaxSpans;
   /// Ring buffer of finished spans (front = oldest, evicted first).
   std::deque<Span> finished_ GUARDED_BY(mu_);
 };
 
-/// RAII span: opens on construction (a no-op when the collector is null or
-/// disabled), closes on destruction. The current thread's innermost open
-/// ScopedSpan becomes the parent of any span opened below it.
+/// What a scope inherits from the scopes around it, one per thread: the
+/// innermost open span (the parent of the next one) and the query whose
+/// profile stage-tagged spans credit. ThreadPool hands the submitter's
+/// context to every task it runs on a worker, so spans there hang below the
+/// span that enqueued them and credit the submitting query.
+struct TraceContext {
+  TraceCollector* collector = nullptr;  // owner of `span`
+  SpanId span = 0;
+  ActiveQuery* query = nullptr;
+  /// Set on a handed-over context: spans opened under it are stamped with
+  /// the submitter's sim time `sim_now` instead of reading the shared tape
+  /// clock, so pool work consumes no simulated time.
+  bool handed_over = false;
+  double sim_now = 0.0;
+
+  bool empty() const { return collector == nullptr && query == nullptr; }
+
+  /// The calling thread's context as a pool task inherits it: handed over,
+  /// with sim time pinned to now. Reads no clock when empty().
+  static TraceContext Capture();
+};
+
+/// The calling thread's context. Trivially constructed and destroyed, so
+/// reading it is one thread-local load.
+inline TraceContext& CurrentTraceContext() {
+  static constinit thread_local TraceContext context;
+  return context;
+}
+
+/// RAII: installs `context` on the calling thread and restores the
+/// previous one on destruction (pool workers run each task under one).
+class ScopedTraceContext {
+ public:
+  explicit ScopedTraceContext(const TraceContext& context)
+      : saved_(CurrentTraceContext()) {
+    CurrentTraceContext() = context;
+  }
+  ~ScopedTraceContext() { CurrentTraceContext() = saved_; }
+
+  ScopedTraceContext(const ScopedTraceContext&) = delete;
+  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
+
+ private:
+  TraceContext saved_;
+};
+
+/// The one instrumentation scope. Opens a trace span when `collector` is
+/// enabled; with a `stage`, also adds its sim time, wall time and bytes to
+/// that stage of the thread's active query profile (QueryProfiler::Scope).
+/// Either part is skipped when off: a disabled span costs one relaxed load,
+/// plus one thread-local load when it carries a stage.
 class ScopedSpan {
  public:
-  ScopedSpan(TraceCollector* collector, std::string_view name);
+  ScopedSpan(TraceCollector* collector, std::string_view name,
+             std::optional<ProfileStage> stage = std::nullopt);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Annotates the span with a byte count (result size, transfer size).
+  /// Annotates the span and its stage with a byte count (result size,
+  /// transfer size).
   void SetBytes(uint64_t bytes) { bytes_ = bytes; }
 
-  /// Id of this span (0 when the collector is null or disabled); lets the
-  /// opener hand the span to pool tasks as their parent.
-  SpanId id() const { return id_; }
+  /// True when this span credits a stage of an active query profile.
+  bool profiled() const { return query_ != nullptr; }
 
  private:
-  TraceCollector* collector_ = nullptr;  // null when no-op
+  TraceCollector* collector_ = nullptr;  // null when not tracing
+  ActiveQuery* query_ = nullptr;         // null when not profiling
+  ProfileStage stage_{};
+  bool pinned_ = false;  // opened under a handed-over context
   SpanId id_ = 0;
+  SpanId parent_ = 0;
+  std::string name_;
+  double start_ = 0.0;       // trace timestamp
+  double stage_sim_ = 0.0;   // profile clock at open
+  double stage_wall_ = 0.0;  // wall clock at open
   uint64_t bytes_ = 0;
-};
-
-/// RAII ambient-parent scope for pool workers: while alive, spans opened on
-/// this thread (outside any locally open span) are parented to `parent`
-/// instead of becoming roots. No-op when the collector is null or disabled.
-class ScopedSpanParent {
- public:
-  ScopedSpanParent(TraceCollector* collector, SpanId parent);
-  ~ScopedSpanParent();
-
-  ScopedSpanParent(const ScopedSpanParent&) = delete;
-  ScopedSpanParent& operator=(const ScopedSpanParent&) = delete;
-
- private:
-  TraceCollector* collector_ = nullptr;  // null when no-op
-  SpanId previous_ = 0;
+  TraceContext saved_;
 };
 
 }  // namespace heaven

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <utility>
-#include <version>
 
 #include "common/thread_annotations.h"
 
@@ -54,8 +53,8 @@ class RetiredVersions {
 /// An atomically published, versioned, immutable value — the RCU-style
 /// core of HeavenDb's snapshot-isolated read path.
 ///
-/// Readers call Acquire(): one lock-free shared_ptr load that pins the
-/// current version for as long as the returned pointer lives. Mutators
+/// Readers call Acquire(): one shared_ptr copy that pins the current
+/// version for as long as the returned pointer lives. Mutators
 /// (externally serialized — HeavenDb publishes under its db_mu_)
 /// build a fresh T and install it with Publish(): a single pointer swap,
 /// after which new readers see the new version while in-flight readers
@@ -71,15 +70,12 @@ class VersionedState {
   VersionedState(const VersionedState&) = delete;
   VersionedState& operator=(const VersionedState&) = delete;
 
-  /// Pins and returns the current version. Wait-free on libstdc++'s
-  /// atomic<shared_ptr>; never null after the first Publish.
+  /// Pins and returns the current version: a shared_ptr copy under a
+  /// leaf mutex held for a few instructions. Never null after the first
+  /// Publish.
   Ptr Acquire() const {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    return current_.load(std::memory_order_acquire);
-#else
     MutexLock lock(ptr_mu_);
     return current_;
-#endif
   }
 
   /// Installs `next` as the current version and retires the displaced
@@ -89,15 +85,11 @@ class VersionedState {
     const uint64_t number =
         version_.fetch_add(1, std::memory_order_acq_rel) + 1;
     Ptr prev;
-#if defined(__cpp_lib_atomic_shared_ptr)
-    prev = current_.exchange(std::move(next), std::memory_order_acq_rel);
-#else
     {
       MutexLock lock(ptr_mu_);
       prev = std::move(current_);
       current_ = std::move(next);
     }
-#endif
     if (prev != nullptr) retired_.Retire(std::move(prev), number - 1);
     retired_.ReclaimQuiescent();
     return number;
@@ -122,12 +114,11 @@ class VersionedState {
   uint64_t reclaimed_total() const { return retired_.reclaimed_total(); }
 
  private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<Ptr> current_;
-#else
+  /// A plain mutex, not std::atomic<shared_ptr>: libstdc++ 12's
+  /// _Sp_atomic releases its internal lock with a relaxed store, which
+  /// ThreadSanitizer reports as a race between Acquire and Publish.
   mutable Mutex ptr_mu_;  // analyze: leaf-lock
   Ptr current_ GUARDED_BY(ptr_mu_);
-#endif
   std::atomic<uint64_t> version_{0};
   RetiredVersions retired_;
 };

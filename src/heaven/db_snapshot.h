@@ -60,7 +60,7 @@ class SnapshotObject {
 /// One immutable, versioned view of HeavenDb's query-relevant metadata:
 /// the super-tile registry plus every object's catalog descriptors. Built
 /// by mutators under db_mu_ and published through a
-/// VersionedState swap; readers pin a snapshot with one lock-free acquire
+/// VersionedState swap; readers pin a snapshot with one shared_ptr copy
 /// and then touch no shared mutable state besides the internally
 /// synchronized components (cache, statistics, tape library, blobs).
 ///

@@ -129,17 +129,13 @@ Status HeavenDb::Init() {
   }
   HEAVEN_RETURN_IF_ERROR(
       precomputed_->Restore(engine_->catalog()->GetSection(kPrecomputedSection)));
-  if (options_.enable_tracing) stats_.trace()->Enable(true);
-  stats_.trace()->SetCapacity(options_.trace_span_capacity);
   profiler_.SetClock(library_->clock());
-  profiler_.SetStatistics(&stats_);
   size_t num_threads = options_.num_threads;
   if (num_threads == 0) {
     num_threads = std::max<size_t>(std::thread::hardware_concurrency(), 1);
   }
   // One thread is the caller alone: a zero-worker pool runs tasks inline.
-  pool_ = std::make_unique<ThreadPool>(num_threads > 1 ? num_threads : 0,
-                                       stats_.trace());
+  pool_ = std::make_unique<ThreadPool>(num_threads > 1 ? num_threads : 0);
   if (options_.decoupled_export) {
     HEAVEN_ASSIGN_OR_RETURN(journal_,
                             ExportJournal::Open(env_, dir_ + "/export.journal"));
@@ -516,7 +512,8 @@ void HeavenDb::PublishSnapshot(const std::vector<ObjectId>& touched) {
 }
 
 DbSnapshotPtr HeavenDb::AcquireReadSnapshot() const {
-  QueryProfiler::StageTimer timer(&profiler_, ProfileStage::kSnapshotAcquire);
+  ScopedSpan span(stats_.trace(), "snap.acquire",
+                  ProfileStage::kSnapshotAcquire);
   DbSnapshotPtr snap = snapshot_.Acquire();
   HEAVEN_DCHECK(snap != nullptr) << "no snapshot published before Init done";
   return snap;
@@ -1129,6 +1126,8 @@ Status HeavenDb::FetchSuperTiles(
     if (out->count(id) > 0) continue;
     for (;;) {
       std::shared_ptr<const SuperTile> cached = cache_->Lookup(id);
+      QueryProfiler::Count(cached != nullptr ? &QueryProfile::cache_hits
+                                             : &QueryProfile::cache_misses);
       if (cached != nullptr) {
         NotePrefetchHit(id);  // account prefetch usefulness
         out->emplace(id, std::move(cached));
@@ -1140,6 +1139,7 @@ Status HeavenDb::FetchSuperTiles(
         // Single-flight: a concurrent fetch of this super-tile is already
         // running — wait for its result instead of touching the tape.
         stats_.Record(Ticker::kFetchCoalesced);
+        QueryProfiler::Count(&QueryProfile::fetches_coalesced);
         waits.emplace_back(id, flight_it->second->future);
         break;
       }
@@ -1180,12 +1180,8 @@ Status HeavenDb::FetchSuperTiles(
   }
 
   if (!requests.empty()) {
-    {
-      QueryProfiler::StageTimer schedule_timer(&profiler_,
-                                               ProfileStage::kSchedule);
-      requests = ScheduleRequests(std::move(requests), *library_,
-                                  options_.schedule_policy);
-    }
+    requests = ScheduleRequests(std::move(requests), *library_,
+                                options_.schedule_policy);
     if (ctx.deadline.has_deadline()) {
       // Cost-model pre-admission: a plan that provably cannot finish
       // within the remaining deadline fails in O(n) — before any robot
@@ -1229,7 +1225,9 @@ Status HeavenDb::FetchSuperTiles(
     // pattern are untouched. This thread admits the decoded super-tiles to
     // the cache in schedule order, at most one task per worker behind the
     // transfer loop: the cache's LRU order, and every later hit, eviction
-    // and seek, is the same for every thread count.
+    // and seek, is the same for every thread count. Every decode task
+    // carries this query's trace context, so each is joined before this
+    // function returns, on every path.
     std::vector<std::shared_ptr<const SuperTile>> decoded(requests.size());
     std::vector<double> fetch_seconds(requests.size());
     std::deque<std::future<Result<SuperTile>>> pending;
@@ -1262,28 +1260,23 @@ Status HeavenDb::FetchSuperTiles(
         status = ctx.Check("tape fetch");
         if (!status.ok()) break;
       }
-      ScopedSpan fetch_span(stats_.trace(), "supertile.fetch");
-      fetch_span.SetBytes(request.size_bytes);
       const double fetch_before = library_->ElapsedSeconds();
       std::string container;
       {
-        QueryProfiler::StageTimer fetch_timer(&profiler_,
-                                              ProfileStage::kTapeFetch);
-        fetch_timer.AddBytes(request.size_bytes);
+        ScopedSpan fetch_span(stats_.trace(), "supertile.fetch",
+                              ProfileStage::kTapeFetch);
+        fetch_span.SetBytes(request.size_bytes);
         status = ReadContainerVerified(request.id, ctx, request.medium,
                                        request.offset, request.size_bytes,
                                        request.crc32c, &container);
       }
       if (!status.ok()) break;
       fetch_seconds[i] = library_->ElapsedSeconds() - fetch_before;
-      // Decode consumes no simulated time by design; on workers (no active
-      // profile there) the stage records the wait for the joined task.
-      QueryProfiler::StageTimer decode_timer(&profiler_,
-                                             ProfileStage::kDecode);
-      decode_timer.AddBytes(request.size_bytes);
       pending.push_back(pool_->Submit(
           [this, c = std::move(container)]() -> Result<SuperTile> {
-            ScopedSpan decode_span(stats_.trace(), "supertile.decode");
+            ScopedSpan decode_span(stats_.trace(), "supertile.decode",
+                                   ProfileStage::kDecode);
+            decode_span.SetBytes(c.size());
             return SuperTile::Deserialize(c);
           }));
       if (pending.size() > pool_->num_threads()) {
@@ -1293,13 +1286,9 @@ Status HeavenDb::FetchSuperTiles(
     }
     // Join the decodes still in flight. Their transfers are paid for, so
     // they are admitted even after an error.
-    if (!pending.empty()) {
-      QueryProfiler::StageTimer decode_timer(&profiler_,
-                                             ProfileStage::kDecode);
-      while (!pending.empty()) {
-        Status s = admit_next();
-        if (status.ok()) status = s;
-      }
+    while (!pending.empty()) {
+      Status s = admit_next();
+      if (status.ok()) status = s;
     }
     if (!status.ok()) {
       // A cancelled/expired batch may have fully decoded containers; their
@@ -1600,8 +1589,8 @@ Result<HeavenDb::ReadPart> HeavenDb::PlanRead(const DbSnapshot& snap,
             : "query region " + box.ToString() + " outside object domain " +
                   domain.ToString());
   }
-  QueryProfiler::StageTimer index_timer(&profiler_,
-                                        ProfileStage::kIndexLookup);
+  ScopedSpan index_span(stats_.trace(), "index.lookup",
+                        ProfileStage::kIndexLookup);
   part.tiles = part.object->TilesIntersecting(box);
   if (frame != nullptr) {
     // Only tiles intersecting the frame itself (not just its bounding box)
@@ -1684,8 +1673,9 @@ Status HeavenDb::MaterializeTiles(
 
 Status HeavenDb::ScatterTiles(const QueryContext& ctx, const Tiles& tiles,
                               const ObjectFrame* frame, MddArray* result) {
-  QueryProfiler::StageTimer scatter_timer(&profiler_, ProfileStage::kScatter);
-  scatter_timer.AddBytes(result->tile().size_bytes());
+  ScopedSpan scatter_span(stats_.trace(), "array.scatter",
+                          ProfileStage::kScatter);
+  scatter_span.SetBytes(result->tile().size_bytes());
   if (!ctx.unconstrained()) {
     HEAVEN_RETURN_IF_ERROR(ctx.Check("scatter"));
   }
@@ -1847,8 +1837,8 @@ Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
     bool exists = false;  // some overlap cell satisfies the predicate
     bool all = true;      // every decided overlap cell satisfies it
     {
-      QueryProfiler::StageTimer index_timer(&profiler_,
-                                            ProfileStage::kIndexLookup);
+      ScopedSpan index_span(stats_.trace(), "index.lookup",
+                            ProfileStage::kIndexLookup);
       std::vector<TileDescriptor> tiles = object->TilesIntersecting(region);
       for (TileDescriptor& tile : tiles) {
         auto overlap = tile.domain.Intersection(region);

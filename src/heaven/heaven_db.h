@@ -93,15 +93,6 @@ struct HeavenOptions {
   /// Serve and populate the precomputed-results catalog.
   bool enable_precomputed = true;
 
-  /// Collect hierarchical trace spans (stats()->trace()) from the start.
-  /// Tracing can also be toggled at runtime via stats()->trace()->Enable().
-  bool enable_tracing = false;
-
-  /// Capacity of the finished-span ring buffer. When a long workload
-  /// overflows it the oldest spans are evicted (counted by the
-  /// `trace.spans_dropped` gauge / TraceCollector::dropped()).
-  size_t trace_span_capacity = 1 << 20;
-
   /// Wall-clock period of the background metrics sampler that refreshes
   /// the registry's gauges (cache occupancy, drive states, pool load,
   /// ...). 0 disables the sampler; gauges are then refreshed on demand by
@@ -248,8 +239,8 @@ class HeavenDb {
   // boundary. The default (unconstrained) context adds no sim time,
   // tickers or trace spans.
 
-  /// Pins the current metadata snapshot: one lock-free shared_ptr
-  /// acquire. The snapshot stays valid (and its retired version
+  /// Pins the current metadata snapshot: one shared_ptr copy under a
+  /// leaf mutex, credited to the `snap.acquire` span. The snapshot stays valid (and its retired version
   /// unreclaimed) for as long as the returned pointer lives.
   DbSnapshotPtr AcquireReadSnapshot() const;
 
@@ -630,13 +621,13 @@ class HeavenDb {
   Env* env_;               // analyze: unguarded(fixed at Open)
   std::string dir_;        // analyze: unguarded(fixed at Open)
   HeavenOptions options_;  // analyze: unguarded(fixed at Open)
-  Statistics stats_;       // analyze: unguarded(atomic counters inside)
+  /// mutable: AcquireReadSnapshot() const records its `snap.acquire` span
+  /// (the statistics and trace collector are internally synchronized).
+  mutable Statistics stats_;  // analyze: unguarded(atomic counters inside)
   /// Gauge callbacks registered here read the members below; the
   /// destructor stops the sampler before any of them die.
   MetricsRegistry metrics_{&stats_};  // analyze: unguarded(internally locked)
-  /// mutable: AcquireReadSnapshot() const times its pin on the profiler
-  /// (the profiler is internally synchronized).
-  mutable QueryProfiler profiler_;  // analyze: unguarded(internally locked)
+  QueryProfiler profiler_;  // analyze: unguarded(internally locked)
   SimClock client_clock_;  // analyze: unguarded(internally locked)
 
   std::unique_ptr<StorageEngine> engine_;  // analyze: unguarded(fixed at Open)

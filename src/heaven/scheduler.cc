@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/metrics.h"
+
 namespace heaven {
 
 std::string SchedulePolicyName(SchedulePolicy policy) {
@@ -19,7 +21,8 @@ std::vector<SuperTileRequest> ScheduleRequests(
     std::vector<SuperTileRequest> requests, const TapeLibrary& library,
     SchedulePolicy policy) {
   Statistics* stats = library.stats();
-  ScopedSpan span(stats != nullptr ? stats->trace() : nullptr, "schedule");
+  ScopedSpan span(stats != nullptr ? stats->trace() : nullptr, "schedule",
+                  ProfileStage::kSchedule);
   if (stats != nullptr && !requests.empty()) {
     stats->Record(Ticker::kSchedBatches);
     stats->Record(Ticker::kSchedRequests, requests.size());

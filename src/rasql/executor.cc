@@ -338,8 +338,8 @@ Result<QueryResult> ExecuteString(HeavenDb* db, const std::string& text) {
   // Execute's nested Scope then folds into this one (same thread).
   QueryProfiler::Scope profile(db->profiler(), "rasql");
   Result<Query> query = [&] {
-    QueryProfiler::StageTimer parse_timer(db->profiler(),
-                                          ProfileStage::kParsePlan);
+    ScopedSpan span(db->stats()->trace(), "rasql.parse",
+                    ProfileStage::kParsePlan);
     return Parse(text);
   }();
   HEAVEN_RETURN_IF_ERROR(query.status());

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -101,20 +102,37 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
 }
 
 TEST(ThreadPoolTest, WorkerSpansParentToEnqueuingSpan) {
-  for (size_t workers : {0, 2}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  struct Input {
+    size_t workers;
+    bool clock_moves;  // the submitter advances the clock mid-task
+  };
+  for (const Input input : {Input{0, false}, Input{2, false}, Input{2, true}}) {
+    SCOPED_TRACE("workers=" + std::to_string(input.workers) +
+                 " clock_moves=" + std::to_string(input.clock_moves));
     SimClock clock;
     TraceCollector trace;
     trace.SetClock(&clock);
     trace.Enable(true);
-    ThreadPool pool(workers, &trace);
+    ThreadPool pool(input.workers);
     {
       ScopedSpan outer(&trace, "outer");
+      std::atomic<size_t> opened{0};
+      std::promise<void> release;
+      std::shared_future<void> released = release.get_future().share();
+      if (!input.clock_moves) release.set_value();
       std::vector<std::future<void>> futures;
       for (int i = 0; i < 4; ++i) {
-        futures.push_back(pool.Submit([&trace] {
+        futures.push_back(pool.Submit([&trace, &opened, released] {
           ScopedSpan inner(&trace, "worker.task");
+          opened.fetch_add(1);
+          released.wait();
         }));
+      }
+      if (input.clock_moves) {
+        // Both workers hold an open span while the shared clock moves.
+        while (opened.load() < input.workers) std::this_thread::yield();
+        clock.Advance(5.0);
+        release.set_value();
       }
       for (auto& f : futures) f.get();
     }
@@ -128,6 +146,7 @@ TEST(ThreadPoolTest, WorkerSpansParentToEnqueuingSpan) {
       if (s.name != "worker.task") continue;
       ++worker_spans;
       EXPECT_EQ(s.parent, outer_id);
+      EXPECT_EQ(s.duration(), 0.0) << "pool work consumed simulated time";
     }
     EXPECT_EQ(worker_spans, 4u);
   }
@@ -137,15 +156,15 @@ TEST(ThreadPoolTest, AmbientParentRestoredAfterScope) {
   TraceCollector trace;
   trace.Enable(true);
   {
-    ScopedSpanParent guard(&trace, 42);
-    EXPECT_EQ(trace.CurrentSpanId(), 42u);
+    ScopedTraceContext guard({&trace, 42});
+    EXPECT_EQ(CurrentTraceContext().span, 42u);
     {
-      ScopedSpanParent nested(&trace, 7);
-      EXPECT_EQ(trace.CurrentSpanId(), 7u);
+      ScopedTraceContext nested({&trace, 7});
+      EXPECT_EQ(CurrentTraceContext().span, 7u);
     }
-    EXPECT_EQ(trace.CurrentSpanId(), 42u);
+    EXPECT_EQ(CurrentTraceContext().span, 42u);
   }
-  EXPECT_EQ(trace.CurrentSpanId(), 0u);
+  EXPECT_EQ(CurrentTraceContext().span, 0u);
 }
 
 // ------------------------------------------------------------- DB stress --
@@ -174,11 +193,11 @@ class ConcurrencyStressTest : public ::testing::Test {
     options.supertile_bytes = 16 << 10;
     options.decoupled_export = true;
     options.compression = Compression::kDeltaRle;
-    options.enable_tracing = true;  // exercise trace locking too
     options.num_threads = 4;  // force the pool on, even on 1-core hosts
     auto db = HeavenDb::Open(env_.get(), "/db", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
+    db_->stats()->trace()->Enable(true);  // exercise trace locking too
     auto coll = db_->CreateCollection("c");
     ASSERT_TRUE(coll.ok());
     collection_ = coll.value();

@@ -454,13 +454,13 @@ TEST_F(FaultDbTest, DisabledPolicyTakesTheExactLegacyPath) {
     options.library.num_media = 8;
     options.disk_tile_bytes = 2048;
     options.supertile_bytes = 16 << 10;
-    options.enable_tracing = true;
     if (enabled_all_zero) {
       options.fault_policy.enabled = true;
       options.fault_policy.seed = 42;
     }
     auto db = HeavenDb::Open(&env, "/db", options);
     HEAVEN_CHECK(db.ok());
+    (*db)->stats()->trace()->Enable(true);
     auto coll = (*db)->CreateCollection("c");
     HEAVEN_CHECK(coll.ok());
     auto id = (*db)->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {29, 29})));

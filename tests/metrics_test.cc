@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -178,15 +180,15 @@ TEST(QueryProfilerTest, DisabledProfilerRecordsNothing) {
   {
     QueryProfiler::Scope scope(&profiler, "q");
     EXPECT_FALSE(scope.active());
-    QueryProfiler::StageTimer timer(&profiler, ProfileStage::kTapeFetch);
-    EXPECT_FALSE(timer.active());
+    ScopedSpan span(nullptr, "fetch", ProfileStage::kTapeFetch);
+    EXPECT_FALSE(span.profiled());
   }
   EXPECT_EQ(profiler.profiles_recorded(), 0u);
   QueryProfile profile;
   EXPECT_FALSE(profiler.Last(&profile));
 }
 
-TEST(QueryProfilerTest, StageTimersAttributeSimTime) {
+TEST(QueryProfilerTest, StageSpansAttributeSimTime) {
   SimClock clock;
   QueryProfiler profiler;
   profiler.SetClock(&clock);
@@ -195,12 +197,12 @@ TEST(QueryProfilerTest, StageTimersAttributeSimTime) {
     QueryProfiler::Scope scope(&profiler, "q");
     ASSERT_TRUE(scope.active());
     {
-      QueryProfiler::StageTimer timer(&profiler, ProfileStage::kTapeFetch);
-      timer.AddBytes(100);
+      ScopedSpan span(nullptr, "fetch", ProfileStage::kTapeFetch);
+      span.SetBytes(100);
       clock.Advance(2.5);
     }
     {
-      QueryProfiler::StageTimer timer(&profiler, ProfileStage::kScatter);
+      ScopedSpan span(nullptr, "scatter", ProfileStage::kScatter);
       clock.Advance(0.5);
     }
   }
@@ -224,8 +226,8 @@ TEST(QueryProfilerTest, NestedScopesFoldIntoOutermost) {
     {
       QueryProfiler::Scope inner(&profiler, "inner");
       EXPECT_FALSE(inner.active());
-      QueryProfiler::StageTimer timer(&profiler, ProfileStage::kParsePlan);
-      EXPECT_TRUE(timer.active());
+      ScopedSpan span(nullptr, "parse", ProfileStage::kParsePlan);
+      EXPECT_TRUE(span.profiled());
     }
     EXPECT_EQ(profiler.profiles_recorded(), 0u);  // inner published nothing
   }
@@ -343,7 +345,8 @@ class MetricsDbTest : public ::testing::Test {
  protected:
   void SetUp() override { Open(HeavenOptions()); }
 
-  void Open(HeavenOptions options) {
+  // Serial by default: sim time accrues on the query thread.
+  void Open(HeavenOptions options, size_t num_threads = 1) {
     db_.reset();
     env_ = std::make_unique<MemEnv>();
     options.library.profile = MidTapeProfile();
@@ -351,12 +354,12 @@ class MetricsDbTest : public ::testing::Test {
     options.library.num_media = 8;
     options.disk_tile_bytes = 2048;
     options.supertile_bytes = 16 << 10;
-    options.enable_tracing = true;
     options.enable_prefetch = false;  // keep the tape timeline query-only
-    options.num_threads = 1;  // serial: sim time accrues on the query thread
+    options.num_threads = num_threads;
     auto db = HeavenDb::Open(env_.get(), "/db", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
+    db_->stats()->trace()->Enable(true);
     auto coll = db_->CreateCollection("c");
     ASSERT_TRUE(coll.ok());
     collection_ = coll.value();
@@ -422,6 +425,97 @@ TEST_F(MetricsDbTest, WarmReadProfilesAsCacheHit) {
   EXPECT_GE(profile.cache_hits, 1u);
   EXPECT_EQ(profile.cache_misses, 0u);
   EXPECT_DOUBLE_EQ(profile.stage(ProfileStage::kTapeFetch).sim_seconds, 0.0);
+}
+
+// Two clients read disjoint cached objects at once: each query counts its
+// own super-tile lookups, never the other client's.
+TEST_F(MetricsDbTest, ConcurrentQueriesCountOwnCacheHits) {
+  std::vector<ObjectId> ids;
+  for (const char* name : {"a", "b"}) {
+    MddArray data(MdInterval({0, 0}, {127, 127}), CellType::kFloat);
+    data.Generate([](const MdPoint& p) {
+      return static_cast<double>(p[0] * 3 + p[1]);
+    });
+    auto id = db_->InsertObject(collection_, name, data);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(db_->ExportObject(*id).ok());
+    ASSERT_TRUE(db_->ReadObject(*id).ok());  // warm the cache
+    ids.push_back(*id);
+  }
+  std::map<ObjectId, uint64_t> supertiles;
+  for (const SuperTileMeta& meta : db_->RegistrySnapshot()) {
+    ++supertiles[meta.object_id];
+  }
+  ASSERT_GT(supertiles[ids[0]], 1u);
+  ASSERT_EQ(supertiles[ids[0]], supertiles[ids[1]]);
+
+  db_->profiler()->SetEnabled(true);
+  // Each client drains the bounded Recent() ring after every read, so no
+  // profile is lost however long the clients overlap.
+  constexpr size_t kReadsPerClient = 100;
+  std::mutex mu;
+  std::map<uint64_t, QueryProfile> profiles;  // by query id
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (ObjectId id : ids) {
+    clients.emplace_back([&, id] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      for (size_t i = 0; i < kReadsPerClient; ++i) {
+        EXPECT_TRUE(db_->ReadObject(id).ok());
+        std::lock_guard<std::mutex> lock(mu);
+        for (QueryProfile& profile : db_->profiler()->Recent()) {
+          profiles.emplace(profile.query_id, std::move(profile));
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  ASSERT_EQ(profiles.size(), 2 * kReadsPerClient);
+  for (const auto& [query_id, profile] : profiles) {
+    EXPECT_EQ(profile.cache_hits, supertiles[ids[0]]) << "query " << query_id;
+    EXPECT_EQ(profile.cache_misses, 0u) << "query " << query_id;
+  }
+}
+
+// Every pooled decode is one kDecode section of the submitting query, on
+// no simulated time, and its span hangs below the query span.
+TEST_F(MetricsDbTest, DecodeStageCountsEveryPooledDecode) {
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    Open(HeavenOptions(), threads);
+    const ObjectId id = InsertAndExport();
+    db_->stats()->trace()->Clear();
+    db_->profiler()->SetEnabled(true);
+    const uint64_t read_before = db_->stats()->Get(Ticker::kSuperTilesRead);
+    ASSERT_TRUE(db_->ReadRegion(id, MdInterval({0, 0}, {127, 127})).ok());
+    const uint64_t fetched =
+        db_->stats()->Get(Ticker::kSuperTilesRead) - read_before;
+    ASSERT_GT(fetched, 1u);
+
+    QueryProfile profile;
+    ASSERT_TRUE(db_->profiler()->Last(&profile));
+    EXPECT_EQ(profile.stage(ProfileStage::kDecode).count, fetched);
+    EXPECT_EQ(profile.stage(ProfileStage::kDecode).sim_seconds, 0.0);
+
+    std::map<SpanId, Span> by_id;
+    SpanId query_id = 0;
+    for (const Span& span : db_->stats()->trace()->Spans()) {
+      by_id[span.id] = span;
+      if (span.name == "query.read_region") query_id = span.id;
+    }
+    ASSERT_NE(query_id, 0u);
+    uint64_t decodes = 0;
+    for (const auto& [span_id, span] : by_id) {
+      if (span.name != "supertile.decode") continue;
+      ++decodes;
+      SpanId p = span.parent;
+      while (p != 0 && p != query_id) p = by_id[p].parent;
+      EXPECT_EQ(p, query_id) << "decode span " << span_id;
+    }
+    EXPECT_EQ(decodes, fetched);
+  }
 }
 
 // A RasQL statement profiles under the "rasql" label with parse time.
@@ -532,11 +626,9 @@ TEST_F(MetricsDbTest, BackgroundSamplerOverLiveDatabase) {
   db_.reset();  // must stop the sampler before members die
 }
 
-// Options plumb the trace ring capacity through to the collector.
+// The runtime setter bounds the database's trace ring.
 TEST_F(MetricsDbTest, TraceCapacityOptionBoundsTheRing) {
-  HeavenOptions options;
-  options.trace_span_capacity = 8;
-  Open(std::move(options));
+  db_->stats()->trace()->SetCapacity(8);
   EXPECT_EQ(db_->stats()->trace()->capacity(), 8u);
   const ObjectId id = InsertAndExport();
   ASSERT_TRUE(db_->ReadRegion(id, MdInterval({0, 0}, {127, 127})).ok());

@@ -393,11 +393,11 @@ class ObservabilityDbTest : public ::testing::Test {
     options.library.num_media = 8;
     options.disk_tile_bytes = 2048;
     options.supertile_bytes = 16 << 10;
-    options.enable_tracing = true;
     options.enable_prefetch = false;  // keep the tape timeline query-only
     auto db = HeavenDb::Open(env_.get(), "/db", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
+    db_->stats()->trace()->Enable(true);
     auto coll = db_->CreateCollection("c");
     ASSERT_TRUE(coll.ok());
     collection_ = coll.value();
