@@ -1,7 +1,7 @@
 // Fuzz surface: the three container decoders of the super-tile registry —
 // SuperTile::Deserialize (tape container with CRC framing and compressed
 // tile payloads), DeserializeSuperTileMetas (catalog registry image,
-// format v1..v3) and SuperTileIndex::Deserialize (per-container bitmap
+// format v3; older images are Corruption) and SuperTileIndex::Deserialize (per-container bitmap
 // index blob). The first input byte selects the decoder so libFuzzer can
 // keep per-surface coverage separate; the rest is the image.
 #include <cstdint>

@@ -120,6 +120,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # repeat keeps an intermittent report from slipping through unnoticed.
   ./build-tsan/tests/snapshot_test \
       --gtest_filter='*ReaderStormAgainstMetadataChurn*' --gtest_repeat=30
+  # CreateCollection checks and registers the name inside one mutation;
+  # the repeat gives a lost race twenty chances to show.
+  ./build-tsan/tests/heaven_db_test \
+      --gtest_filter='*ConcurrentCreateCollection*' --gtest_repeat=20
 fi
 
 if [[ "$RUN_FAULTS" == 1 ]]; then

@@ -99,6 +99,10 @@ class CAPABILITY("mutex") Mutex {
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  /// Tells the analysis that the caller holds the mutex, where it cannot
+  /// see the lock: in a lambda run under a lock its caller took. Checks
+  /// nothing at run time.
+  void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
   friend class CondVar;

@@ -186,6 +186,14 @@ class CowShardedMap {
     for (auto& shard : shards_) shard = std::make_shared<Shard>();
   }
 
+  /// Resets the map to the contents of `view`, sharing its shards: as
+  /// after Snapshot(), a write clones every shard a view still holds.
+  void Assign(const View& view) {
+    for (size_t i = 0; i < kNumShards; ++i) {
+      shards_[i] = std::const_pointer_cast<Shard>(view.shards_[i]);
+    }
+  }
+
   const V* Find(const K& key) const {
     const Shard& shard = *shards_[ShardIndex(key)];
     const auto it = shard.find(key);

@@ -49,7 +49,8 @@ Result<ObjectDescriptor> DbSnapshot::FindObject(
   return object_it->second->descriptor();
 }
 
-std::vector<SuperTileMeta> DbSnapshot::SortedRegistry() const {
+std::vector<SuperTileMeta> SortedRegistry(
+    const SnapshotRegistryView& registry) {
   std::vector<SuperTileMeta> metas;
   metas.reserve(registry.size());
   registry.ForEach(

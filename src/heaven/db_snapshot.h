@@ -89,12 +89,13 @@ struct DbSnapshot {
   const SuperTileMeta* FindSuperTile(SuperTileId id) const {
     return registry.Find(id);
   }
-  /// Every registry entry, ascending by super-tile id (the deterministic
-  /// order the registry serializes in).
-  std::vector<SuperTileMeta> SortedRegistry() const;
 };
 
 using DbSnapshotPtr = std::shared_ptr<const DbSnapshot>;
+
+/// Every entry of `registry`, ascending by super-tile id (the
+/// deterministic order the registry serializes in).
+std::vector<SuperTileMeta> SortedRegistry(const SnapshotRegistryView& registry);
 
 }  // namespace heaven
 

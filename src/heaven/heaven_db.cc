@@ -56,22 +56,27 @@ Result<std::map<ObjectId, CurveKind>> DeserializeCurves(
   return curves;
 }
 
-/// Marks a mutator in progress for the snapshot conflict-retry gate (see
-/// RunQuery): a conflict-shaped read error is retried only
-/// while a mutator runs or after a version advanced, so serial workloads
-/// keep the exact legacy error surface and never retry.
-class ScopedMutator {
- public:
-  explicit ScopedMutator(std::atomic<int>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~ScopedMutator() { counter_->fetch_sub(1, std::memory_order_acq_rel); }
-  ScopedMutator(const ScopedMutator&) = delete;
-  ScopedMutator& operator=(const ScopedMutator&) = delete;
+CatalogDelta SetSection(const char* name, std::string payload) {
+  CatalogDelta delta;
+  delta.op = CatalogOp::kSetSection;
+  delta.name = name;
+  delta.payload = std::move(payload);
+  return delta;
+}
 
- private:
-  std::atomic<int>* counter_;
-};
+/// Stages the move of `tile` to disk blob `blob_id` or, with blob_id 0, to
+/// super-tile `super_tile` on tertiary storage.
+void StageTileMove(Transaction* txn, ObjectId object_id, TileDescriptor tile,
+                   BlobId blob_id, SuperTileId super_tile) {
+  tile.location = blob_id != 0 ? TileLocation::kDisk : TileLocation::kTertiary;
+  tile.blob_id = blob_id;
+  tile.super_tile = super_tile;
+  CatalogDelta update;
+  update.op = CatalogOp::kUpdateTileLocation;
+  update.object_id = object_id;
+  update.tile = std::move(tile);
+  txn->UpdateCatalog(update);
+}
 }  // namespace
 
 HeavenDb::HeavenDb(Env* env, std::string dir, HeavenOptions options)
@@ -442,38 +447,6 @@ Status HeavenDb::LoadCurves() {
   return Status::Ok();
 }
 
-Status HeavenDb::PersistCurvesLocked(Transaction* txn) {
-  CatalogDelta delta;
-  delta.op = CatalogOp::kSetSection;
-  delta.name = kCurvesSection;
-  delta.payload = SerializeCurves(curves_);
-  txn->UpdateCatalog(delta);
-  return Status::Ok();
-}
-
-void HeavenDb::StageRegistryLocked(Transaction* txn) {
-  CatalogDelta delta;
-  delta.op = CatalogOp::kSetSection;
-  delta.name = kRegistrySection;
-  delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(delta);
-}
-
-std::string HeavenDb::SerializeRegistryLocked() const {
-  // Entries sorted by id: the COW shards iterate shard-major, but the
-  // persisted section must keep the exact byte image the id-ordered
-  // std::map registry used to produce.
-  std::vector<SuperTileMeta> metas;
-  metas.reserve(registry_.size());
-  registry_.ForEach(
-      [&](SuperTileId, const SuperTileMeta& meta) { metas.push_back(meta); });
-  std::sort(metas.begin(), metas.end(),
-            [](const SuperTileMeta& a, const SuperTileMeta& b) {
-              return a.id < b.id;
-            });
-  return SerializeSuperTileMetas(metas);
-}
-
 void HeavenDb::PublishSnapshot(const std::vector<ObjectId>& touched) {
   auto next = std::make_shared<DbSnapshot>();
   next->registry = registry_.Snapshot();
@@ -520,59 +493,115 @@ DbSnapshotPtr HeavenDb::AcquireReadSnapshot() const {
 }
 
 Status HeavenDb::PersistPrecomputed() {
-  CatalogDelta delta;
-  delta.op = CatalogOp::kSetSection;
-  delta.name = kPrecomputedSection;
-  delta.payload = precomputed_->Serialize();
-  return engine_->ApplyCatalogAtomic(delta);
+  return engine_->ApplyCatalogAtomic(
+      SetSection(kPrecomputedSection, precomputed_->Serialize()));
+}
+
+Status HeavenDb::RunMutation(const char* label,
+                             const std::function<Status(Mutation& m)>& body) {
+  MutexLock lock(db_mu_);
+  ScopedSpan span(stats_.trace(), label);
+  active_mutators_.fetch_add(1, std::memory_order_acq_rel);
+  std::unique_ptr<Transaction> txn = engine_->Begin();
+  Mutation m;
+  m.txn = txn.get();
+  Status status = body(m);
+  if (status.ok()) {
+    if (m.registry_changed) {
+      txn->UpdateCatalog(SetSection(
+          kRegistrySection,
+          SerializeSuperTileMetas(SortedRegistry(registry_.Snapshot()))));
+    }
+    if (m.curves_changed) {
+      txn->UpdateCatalog(SetSection(kCurvesSection, SerializeCurves(curves_)));
+    }
+    if (m.precomputed_changed) {
+      txn->UpdateCatalog(
+          SetSection(kPrecomputedSection, precomputed_->Serialize()));
+    }
+    if (!txn->empty()) status = txn->Commit();
+  }
+  if (!status.ok() && !txn->applied()) {
+    // The catalog never saw the mutation: drop the body's in-memory edits.
+    // Nothing was published since the body began, so the last published
+    // snapshot is the live state to return to.
+    const DbSnapshotPtr snap = snapshot_.Acquire();
+    registry_.Assign(snap->registry);
+    curves_ = snap->curves;
+  } else {
+    // Committed, or applied but not durable: either way memory follows
+    // the catalog.
+    if (m.registry_changed || m.curves_changed || !m.touched.empty()) {
+      PublishSnapshot(m.touched);
+    }
+    if (status.ok()) {
+      client_clock_.Advance(m.client_seconds);
+      if (m.after_publish) status = m.after_publish();
+    }
+  }
+  active_mutators_.fetch_sub(1, std::memory_order_acq_rel);
+  return status;
 }
 
 // ---------------------------------------------------------------- ingest --
 
 Result<CollectionId> HeavenDb::CreateCollection(const std::string& name) {
-  if (engine_->catalog()->FindCollection(name).has_value()) {
-    return Status::AlreadyExists("collection " + name);
-  }
-  const CollectionId id = engine_->catalog()->NextCollectionId();
-  CatalogDelta delta;
-  delta.op = CatalogOp::kAddCollection;
-  delta.collection_id = id;
-  delta.name = name;
-  HEAVEN_RETURN_IF_ERROR(engine_->ApplyCatalogAtomic(delta));
+  CollectionId id = 0;
+  HEAVEN_RETURN_IF_ERROR(RunMutation(
+      "mutate.create_collection", [&](Mutation& m) -> Status {
+        if (engine_->catalog()->FindCollection(name).has_value()) {
+          return Status::AlreadyExists("collection " + name);
+        }
+        id = engine_->catalog()->NextCollectionId();
+        CatalogDelta delta;
+        delta.op = CatalogOp::kAddCollection;
+        delta.collection_id = id;
+        delta.name = name;
+        m.txn->UpdateCatalog(delta);
+        return Status::Ok();
+      }));
   return id;
 }
 
 Status HeavenDb::DropCollection(const std::string& name) {
-  MutexLock lock(db_mu_);
-  auto collection = engine_->catalog()->FindCollection(name);
-  if (!collection.has_value()) {
-    return Status::NotFound("collection " + name);
-  }
-  if (!engine_->catalog()->ListObjects(*collection).empty()) {
-    return Status::FailedPrecondition("collection " + name + " is not empty");
-  }
-  CatalogDelta delta;
-  delta.op = CatalogOp::kRemoveCollection;
-  delta.collection_id = *collection;
-  return engine_->ApplyCatalogAtomic(delta);
+  return RunMutation("mutate.drop_collection", [&](Mutation& m) -> Status {
+    auto collection = engine_->catalog()->FindCollection(name);
+    if (!collection.has_value()) {
+      return Status::NotFound("collection " + name);
+    }
+    if (!engine_->catalog()->ListObjects(*collection).empty()) {
+      return Status::FailedPrecondition("collection " + name +
+                                        " is not empty");
+    }
+    CatalogDelta delta;
+    delta.op = CatalogOp::kRemoveCollection;
+    delta.collection_id = *collection;
+    m.txn->UpdateCatalog(delta);
+    return Status::Ok();
+  });
 }
 
 Result<ObjectId> HeavenDb::InsertObject(CollectionId collection,
                                         const std::string& name,
                                         const MddArray& data,
                                         std::vector<int64_t> tile_extents) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_ASSIGN_OR_RETURN(
-      ObjectId object_id,
-      InsertObjectLocked(collection, name, data, std::move(tile_extents)));
+  ObjectId object_id = 0;
+  HEAVEN_RETURN_IF_ERROR(
+      RunMutation("mutate.insert", [&](Mutation& m) -> Status {
+        db_mu_.AssertHeld();
+        HEAVEN_ASSIGN_OR_RETURN(object_id,
+                                StageInsert(m, collection, name, data,
+                                            std::move(tile_extents)));
+        return Status::Ok();
+      }));
   HEAVEN_RETURN_IF_ERROR(RunMigrationPolicy());
   return object_id;
 }
 
-Result<ObjectId> HeavenDb::InsertObjectLocked(
-    CollectionId collection, const std::string& name, const MddArray& data,
-    std::vector<int64_t> tile_extents) {
+Result<ObjectId> HeavenDb::StageInsert(Mutation& m, CollectionId collection,
+                                       const std::string& name,
+                                       const MddArray& data,
+                                       std::vector<int64_t> tile_extents) {
   if (engine_->catalog()->FindObject(name).ok()) {
     return Status::AlreadyExists("object " + name);
   }
@@ -592,11 +621,10 @@ Result<ObjectId> HeavenDb::InsertObjectLocked(
   object.cell_type = data.cell_type();
   object.tile_extents = tile_extents;
 
-  std::unique_ptr<Transaction> txn = engine_->Begin();
   CatalogDelta add_object;
   add_object.op = CatalogOp::kAddObject;
   add_object.object = object;
-  txn->UpdateCatalog(add_object);
+  m.txn->UpdateCatalog(add_object);
 
   uint64_t bytes_written = 0;
   for (const MdInterval& tile_domain :
@@ -611,26 +639,19 @@ Result<ObjectId> HeavenDb::InsertObjectLocked(
     descriptor.size_bytes = tile.size_bytes();
     bytes_written += tile.size_bytes();
 
-    txn->PutBlob(descriptor.blob_id, std::move(tile.mutable_data()));
+    m.txn->PutBlob(descriptor.blob_id, std::move(tile.mutable_data()));
     CatalogDelta add_tile;
     add_tile.op = CatalogOp::kAddTile;
     add_tile.object_id = object.object_id;
     add_tile.tile = descriptor;
-    txn->UpdateCatalog(add_tile);
+    m.txn->UpdateCatalog(add_tile);
   }
   // Tag the object with the configured layout curve, in the same
   // transaction as its creation.
   curves_[object.object_id] = options_.curve;
-  HEAVEN_RETURN_IF_ERROR(PersistCurvesLocked(txn.get()));
-  Status commit = txn->Commit();
-  if (!commit.ok()) {
-    curves_.erase(object.object_id);
-    return commit;
-  }
-  // Published before the caller runs the migration policy, so a migrating
-  // export reads the fresh object through its own snapshot.
-  PublishSnapshot({object.object_id});
-  client_clock_.Advance(options_.disk.AccessSeconds(bytes_written));
+  m.curves_changed = true;
+  m.touched.push_back(object.object_id);
+  m.client_seconds += options_.disk.AccessSeconds(bytes_written);
   return object.object_id;
 }
 
@@ -654,17 +675,25 @@ Status HeavenDb::RunMigrationPolicy() {
   }
   std::sort(candidates.begin(), candidates.end());
   for (ObjectId object_id : candidates) {
-    if (engine_->blobs()->TotalBytes() <= low_watermark) break;
     if (options_.decoupled_export) {
+      // A queued export frees no disk bytes before the TCT runs it, so the
+      // volume cannot fall below the watermark here: every candidate is
+      // queued.
       MutexLock lock(tct_mu_);
       if (journal_ != nullptr) {
         HEAVEN_RETURN_IF_ERROR(journal_->LogPending(object_id));
       }
       tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
       tct_cv_.NotifyOne();
-    } else {
-      HEAVEN_RETURN_IF_ERROR(ExportObjectSyncLocked(object_id));
+      continue;
     }
+    if (engine_->blobs()->TotalBytes() <= low_watermark) break;
+    Status status = ExportObjectSync(object_id);
+    // An object deleted since the candidates were listed is skipped.
+    if (status.IsNotFound() && !engine_->catalog()->GetObject(object_id).ok()) {
+      continue;
+    }
+    HEAVEN_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
 }
@@ -692,37 +721,21 @@ Status HeavenDb::ExportObject(ObjectId object_id) {
 }
 
 Status HeavenDb::ExportObjectSync(ObjectId object_id) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  return ExportObjectSyncLocked(object_id);
+  return RunMutation("export.object", [&](Mutation& m) {
+    db_mu_.AssertHeld();
+    return StageExport(m, object_id);
+  });
 }
 
-Status HeavenDb::ExportObjectSyncLocked(ObjectId object_id) {
-  std::vector<SuperTileId> added;
-  Status status = ExportObjectLocked(object_id, &added);
-  if (!status.ok()) {
-    // Roll the in-memory registry back: the catalog transaction never
-    // committed, so the appended containers are dead tape extents (exactly
-    // as after a delete) and must not be referenced. Nothing was published
-    // mid-flight, so readers never saw the rolled-back entries.
-    for (SuperTileId id : added) {
-      registry_.Erase(id);
-      cache_->Erase(id);
-    }
-    return status;
-  }
-  PublishSnapshot({object_id});
-  if (journal_ != nullptr) {
-    HEAVEN_RETURN_IF_ERROR(journal_->LogCommitted(object_id));
-  }
-  return Status::Ok();
-}
-
-Status HeavenDb::ExportObjectLocked(ObjectId object_id,
-                                    std::vector<SuperTileId>* added) {
-  ScopedSpan span(stats_.trace(), "export.object");
+Status HeavenDb::StageExport(Mutation& m, ObjectId object_id) {
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
+  m.touched.push_back(object_id);
+  if (journal_ != nullptr) {
+    m.after_publish = [this, object_id] {
+      return journal_->LogCommitted(object_id);
+    };
+  }
   std::vector<TileDescriptor> disk_tiles;
   for (TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
     if (tile.location == TileLocation::kDisk) {
@@ -743,9 +756,9 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
         MddArray full, ReadBox(*snap, QueryContext(), object_id, object.domain));
     HEAVEN_ASSIGN_OR_RETURN(MddArray overview,
                             ScaleDown(full, options_.overview_scale_factor));
-    HEAVEN_RETURN_IF_ERROR(InsertObjectLocked(object.collection_id,
-                                              object.name + "__overview",
-                                              overview, {})
+    HEAVEN_RETURN_IF_ERROR(StageInsert(m, object.collection_id,
+                                       object.name + "__overview", overview,
+                                       {})
                                .status());
   }
 
@@ -796,7 +809,6 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
   // then appended strictly in plan order, so placement and the tape clock
   // do not depend on the thread count. Memory holds one window of
   // super-tiles and containers at a time.
-  std::unique_ptr<Transaction> txn = engine_->Begin();
   const size_t window = pool_->num_threads() + 1;
   for (size_t begin = 0; begin < plan.write_order.size(); begin += window) {
     const size_t n = std::min(window, plan.write_order.size() - begin);
@@ -817,13 +829,10 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
       const size_t idx = plan.write_order[begin + k];
       HEAVEN_RETURN_IF_ERROR(AppendAndRegister(sts[k], containers[k],
                                                object_id, groups[idx],
-                                               plan.medium[idx], by_id,
-                                               txn.get(), added));
+                                               plan.medium[idx], by_id, m));
     }
   }
-
-  StageRegistryLocked(txn.get());
-  return txn->Commit();
+  return Status::Ok();
 }
 
 Result<SuperTile> HeavenDb::BuildSuperTile(
@@ -845,8 +854,7 @@ Result<SuperTile> HeavenDb::BuildSuperTile(
 Status HeavenDb::AppendAndRegister(
     const SuperTile& st, const std::string& container, ObjectId object_id,
     const SuperTileGroup& group, MediumId medium,
-    const std::map<TileId, const TileDescriptor*>& by_id, Transaction* txn,
-    std::vector<SuperTileId>* added) {
+    const std::map<TileId, const TileDescriptor*>& by_id, Mutation& m) {
   HEAVEN_ASSIGN_OR_RETURN(uint64_t offset,
                           library_->Append(medium, container));
   stats_.Record(Ticker::kSuperTilesWritten);
@@ -869,7 +877,7 @@ Status HeavenDb::AppendAndRegister(
         std::make_shared<const SuperTileIndex>(SuperTileIndex::BuildFrom(st));
   }
   registry_.InsertOrAssign(meta.id, meta);
-  added->push_back(meta.id);
+  m.registry_changed = true;
   if (journal_ != nullptr) {
     // Journal the landed extent before the catalog commits so a crash
     // in between leaves enough to roll the orphan back on reopen.
@@ -879,89 +887,64 @@ Status HeavenDb::AppendAndRegister(
 
   for (TileId tile_id : group.tiles) {
     const TileDescriptor* descriptor = by_id.at(tile_id);
-    txn->DeleteBlob(descriptor->blob_id);
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = *descriptor;
-    update.tile.location = TileLocation::kTertiary;
-    update.tile.blob_id = 0;
-    update.tile.super_tile = meta.id;
-    txn->UpdateCatalog(update);
+    m.txn->DeleteBlob(descriptor->blob_id);
+    StageTileMove(m.txn, object_id, *descriptor, 0, meta.id);
   }
   return Status::Ok();
 }
 
 Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  const double tape_before = library_->ElapsedSeconds();
-  HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
-                          engine_->catalog()->GetObject(object_id));
-  std::unique_ptr<Transaction> txn = engine_->Begin();
-  MediumId next_medium = 0;
-  // Registered only once every append has succeeded, so an early error
-  // leaves the in-memory registry untouched (the written containers become
-  // dead tape extents).
-  std::vector<SuperTileMeta> new_metas;
-  for (const TileDescriptor& descriptor :
-       engine_->catalog()->ListTiles(object_id)) {
-    if (descriptor.location != TileLocation::kDisk) continue;
-    HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                            engine_->blobs()->Get(descriptor.blob_id));
-    // Each tile becomes its own (degenerate) super-tile container, written
-    // wherever the round-robin lands — the naive pre-HEAVEN layout.
-    SuperTile st(next_supertile_id_++, object_id, object.cell_type);
-    HEAVEN_RETURN_IF_ERROR(st.AddTile(
-        descriptor.tile_id,
-        Tile(descriptor.domain, object.cell_type, std::move(payload))));
-    const std::string container = st.Serialize(options_.compression);
+  return RunMutation("export.tile_at_a_time", [&](Mutation& m) -> Status {
+    db_mu_.AssertHeld();
+    const double tape_before = library_->ElapsedSeconds();
+    HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
+                            engine_->catalog()->GetObject(object_id));
+    m.touched.push_back(object_id);
+    MediumId next_medium = 0;
+    for (const TileDescriptor& descriptor :
+         engine_->catalog()->ListTiles(object_id)) {
+      if (descriptor.location != TileLocation::kDisk) continue;
+      HEAVEN_ASSIGN_OR_RETURN(std::string payload,
+                              engine_->blobs()->Get(descriptor.blob_id));
+      // Each tile becomes its own (degenerate) super-tile container,
+      // written wherever the round-robin lands — the naive pre-HEAVEN
+      // layout.
+      SuperTile st(next_supertile_id_++, object_id, object.cell_type);
+      HEAVEN_RETURN_IF_ERROR(st.AddTile(
+          descriptor.tile_id,
+          Tile(descriptor.domain, object.cell_type, std::move(payload))));
+      const std::string container = st.Serialize(options_.compression);
 
-    MediumId medium = next_medium;
-    Result<uint64_t> offset = library_->Append(medium, container);
-    for (uint32_t tries = 1; !offset.ok() && tries < library_->num_media();
-         ++tries) {
-      medium = (next_medium + tries) % library_->num_media();
-      offset = library_->Append(medium, container);
+      MediumId medium = next_medium;
+      Result<uint64_t> offset = library_->Append(medium, container);
+      for (uint32_t tries = 1; !offset.ok() && tries < library_->num_media();
+           ++tries) {
+        medium = (next_medium + tries) % library_->num_media();
+        offset = library_->Append(medium, container);
+      }
+      if (!offset.ok()) return offset.status();
+      next_medium = (medium + 1) % library_->num_media();
+      stats_.Record(Ticker::kSuperTilesWritten);
+      stats_.Record(Ticker::kSuperTileBytesWritten, container.size());
+
+      SuperTileMeta meta;
+      meta.id = st.id();
+      meta.object_id = object_id;
+      meta.medium = medium;
+      meta.offset = offset.value();
+      meta.size_bytes = container.size();
+      meta.crc32c = Crc32c(container);
+      meta.hull = descriptor.domain;
+      meta.tile_ids = {descriptor.tile_id};
+      registry_.InsertOrAssign(meta.id, meta);
+      m.registry_changed = true;
+
+      m.txn->DeleteBlob(descriptor.blob_id);
+      StageTileMove(m.txn, object_id, descriptor, 0, meta.id);
     }
-    if (!offset.ok()) return offset.status();
-    next_medium = (medium + 1) % library_->num_media();
-    stats_.Record(Ticker::kSuperTilesWritten);
-    stats_.Record(Ticker::kSuperTileBytesWritten, container.size());
-
-    SuperTileMeta meta;
-    meta.id = st.id();
-    meta.object_id = object_id;
-    meta.medium = medium;
-    meta.offset = offset.value();
-    meta.size_bytes = container.size();
-    meta.crc32c = Crc32c(container);
-    meta.hull = descriptor.domain;
-    meta.tile_ids = {descriptor.tile_id};
-    new_metas.push_back(meta);
-
-    txn->DeleteBlob(descriptor.blob_id);
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = descriptor;
-    update.tile.location = TileLocation::kTertiary;
-    update.tile.blob_id = 0;
-    update.tile.super_tile = meta.id;
-    txn->UpdateCatalog(update);
-  }
-  for (const SuperTileMeta& meta : new_metas) {
-    registry_.InsertOrAssign(meta.id, meta);
-  }
-  StageRegistryLocked(txn.get());
-  Status status = txn->Commit();
-  if (!status.ok()) {
-    for (const SuperTileMeta& meta : new_metas) registry_.Erase(meta.id);
-    return status;
-  }
-  PublishSnapshot({object_id});
-  client_clock_.Advance(library_->ElapsedSeconds() - tape_before);
-  return Status::Ok();
+    m.client_seconds = library_->ElapsedSeconds() - tape_before;
+    return Status::Ok();
+  });
 }
 
 Status HeavenDb::DrainExports() {
@@ -1421,7 +1404,6 @@ Status HeavenDb::ReadContainerVerified(SuperTileId id, const QueryContext& ctx,
   // CRC verification costs wall time only (recorded for the benchmark),
   // never simulated time: a real drive verifies while streaming.
   auto crc_matches = [&]() -> bool {
-    if (crc32c == 0) return true;  // pre-checksum registry entry
     // analyze: wallclock(CRC verify cost is a real-time measurement)
     const auto verify_start = std::chrono::steady_clock::now();
     const bool match = Crc32c(*out) == crc32c;
@@ -1635,6 +1617,27 @@ Status HeavenDb::RunReadPipeline(const DbSnapshot& snap,
   return Status::Ok();
 }
 
+Result<Tile> HeavenDb::LoadTile(
+    const ObjectDescriptor& object, const TileDescriptor& descriptor,
+    const std::map<SuperTileId, std::shared_ptr<const SuperTile>>&
+        supertiles) {
+  if (descriptor.location == TileLocation::kDisk) {
+    HEAVEN_ASSIGN_OR_RETURN(std::string payload,
+                            engine_->blobs()->Get(descriptor.blob_id));
+    return Tile(descriptor.domain, object.cell_type, std::move(payload));
+  }
+  const auto st_it = supertiles.find(descriptor.super_tile);
+  if (st_it == supertiles.end()) {
+    return Status::Internal(
+        "super-tile " + std::to_string(descriptor.super_tile) +
+        " required by tile " + std::to_string(descriptor.tile_id) +
+        " was not fetched");
+  }
+  HEAVEN_ASSIGN_OR_RETURN(const Tile* tile,
+                          st_it->second->FindTile(descriptor.tile_id));
+  return *tile;
+}
+
 Status HeavenDb::MaterializeTiles(
     const ObjectDescriptor& object, const QueryContext& ctx,
     const std::vector<TileDescriptor>& needed,
@@ -1645,24 +1648,12 @@ Status HeavenDb::MaterializeTiles(
   }
   uint64_t disk_bytes = 0;
   for (const TileDescriptor& descriptor : needed) {
+    HEAVEN_ASSIGN_OR_RETURN(Tile tile,
+                            LoadTile(object, descriptor, supertiles));
     if (descriptor.location == TileLocation::kDisk) {
-      HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                              engine_->blobs()->Get(descriptor.blob_id));
-      disk_bytes += payload.size();
-      out->emplace_back(descriptor, Tile(descriptor.domain, object.cell_type,
-                                         std::move(payload)));
-    } else {
-      const auto st_it = supertiles.find(descriptor.super_tile);
-      if (st_it == supertiles.end()) {
-        return Status::Internal(
-            "super-tile " + std::to_string(descriptor.super_tile) +
-            " required by tile " + std::to_string(descriptor.tile_id) +
-            " was not fetched");
-      }
-      HEAVEN_ASSIGN_OR_RETURN(const Tile* tile,
-                              st_it->second->FindTile(descriptor.tile_id));
-      out->emplace_back(descriptor, *tile);
+      disk_bytes += tile.size_bytes();
     }
+    out->emplace_back(descriptor, std::move(tile));
     stats_.Record(Ticker::kTilesTouched);
   }
   if (disk_bytes > 0) {
@@ -1929,91 +1920,54 @@ Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
 // ------------------------------------------------------- delete / import --
 
 Status HeavenDb::ReimportObject(ObjectId object_id) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
-                          engine_->catalog()->GetObject(object_id));
-  std::vector<TileDescriptor> tertiary_tiles;
-  std::vector<SuperTileId> needed_sts;
-  for (TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
-    if (tile.location != TileLocation::kTertiary) continue;
-    if (std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-        needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
+  return RunMutation("mutate.reimport", [&](Mutation& m) -> Status {
+    db_mu_.AssertHeld();
+    HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
+                            engine_->catalog()->GetObject(object_id));
+    std::vector<TileDescriptor> tertiary_tiles;
+    for (TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
+      if (tile.location == TileLocation::kTertiary) {
+        tertiary_tiles.push_back(std::move(tile));
+      }
     }
-    tertiary_tiles.push_back(std::move(tile));
-  }
-  if (tertiary_tiles.empty()) return Status::Ok();
-
-  // At a mutator's start the published snapshot equals the live state, so
-  // the snapshot-parameterized fetch path serves the mutator too.
-  const DbSnapshotPtr snap = AcquireReadSnapshot();
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(
-      FetchSuperTiles(*snap, QueryContext(), needed_sts, &supertiles));
-
-  std::unique_ptr<Transaction> txn = engine_->Begin();
-  uint64_t disk_bytes = 0;
-  for (const TileDescriptor& descriptor : tertiary_tiles) {
-    const auto st_it = supertiles.find(descriptor.super_tile);
-    if (st_it == supertiles.end()) {
-      return Status::Internal(
-          "super-tile " + std::to_string(descriptor.super_tile) +
-          " required by tile " + std::to_string(descriptor.tile_id) +
-          " was not fetched");
-    }
-    HEAVEN_ASSIGN_OR_RETURN(const Tile* tile,
-                            st_it->second->FindTile(descriptor.tile_id));
-    const BlobId blob_id = engine_->blobs()->NextBlobId();
-    txn->PutBlob(blob_id, tile->data());
-    disk_bytes += tile->size_bytes();
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = descriptor;
-    update.tile.location = TileLocation::kDisk;
-    update.tile.blob_id = blob_id;
-    update.tile.super_tile = 0;
-    txn->UpdateCatalog(update);
-  }
-  // The object's super-tiles become unreferenced; drop them from the
-  // registry and the cache (the tape extents are dead append-only data).
-  for (SuperTileId id : needed_sts) {
-    registry_.Erase(id);
-    cache_->Erase(id);
-  }
-  StageRegistryLocked(txn.get());
-  HEAVEN_RETURN_IF_ERROR(txn->Commit());
-  PublishSnapshot({object_id});
-  client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
-  precomputed_->InvalidateObject(object_id);
-  return PersistPrecomputed();
+    if (tertiary_tiles.empty()) return Status::Ok();
+    return StageTilesToDisk(m, *AcquireReadSnapshot(), object, tertiary_tiles,
+                            nullptr);
+  });
 }
 
 Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
-                          engine_->catalog()->GetObject(object_id));
-  if (!object.domain.Contains(patch.domain())) {
-    return Status::OutOfRange("update region " + patch.domain().ToString() +
-                              " outside object domain " +
-                              object.domain.ToString());
-  }
-  if (patch.cell_type() != object.cell_type) {
-    return Status::InvalidArgument("update cell type mismatch");
-  }
+  return RunMutation("mutate.update", [&](Mutation& m) -> Status {
+    db_mu_.AssertHeld();
+    HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
+                            engine_->catalog()->GetObject(object_id));
+    if (!object.domain.Contains(patch.domain())) {
+      return Status::OutOfRange("update region " + patch.domain().ToString() +
+                                " outside object domain " +
+                                object.domain.ToString());
+    }
+    if (patch.cell_type() != object.cell_type) {
+      return Status::InvalidArgument("update cell type mismatch");
+    }
+    // The snapshot equals the live state at a mutator's start, so its
+    // per-object index answers the intersection query.
+    const DbSnapshotPtr snap = AcquireReadSnapshot();
+    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
+                            snap->GetObject(object_id));
+    return StageTilesToDisk(m, *snap, object,
+                            snap_object->TilesIntersecting(patch.domain()),
+                            &patch);
+  });
+}
 
-  // Partition the affected tiles by current location. The snapshot equals
-  // the live state at a mutator's start, so its per-object index answers
-  // the intersection query.
-  const DbSnapshotPtr snap = AcquireReadSnapshot();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
-                          snap->GetObject(object_id));
-  std::vector<TileDescriptor> affected =
-      snap_object->TilesIntersecting(patch.domain());
+Status HeavenDb::StageTilesToDisk(Mutation& m, const DbSnapshot& snap,
+                                  const ObjectDescriptor& object,
+                                  const std::vector<TileDescriptor>& tiles,
+                                  const MddArray* patch) {
+  // At a mutator's start the published snapshot equals the live state, so
+  // the snapshot-parameterized fetch path serves the mutator too.
   std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : affected) {
+  for (const TileDescriptor& tile : tiles) {
     if (tile.location == TileLocation::kTertiary &&
         std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
             needed_sts.end()) {
@@ -2022,230 +1976,181 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
   }
   std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
   HEAVEN_RETURN_IF_ERROR(
-      FetchSuperTiles(*snap, QueryContext(), needed_sts, &supertiles));
+      FetchSuperTiles(snap, QueryContext(), needed_sts, &supertiles));
 
-  std::unique_ptr<Transaction> txn = engine_->Begin();
   uint64_t disk_bytes = 0;
   // Track which tiles leave their super-tiles so empty ones can be dropped.
   std::map<SuperTileId, size_t> tiles_leaving;
-  for (const TileDescriptor& descriptor : affected) {
-    Tile tile;
-    if (descriptor.location == TileLocation::kDisk) {
-      HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                              engine_->blobs()->Get(descriptor.blob_id));
-      tile = Tile(descriptor.domain, object.cell_type, std::move(payload));
-    } else {
-      const auto st_it = supertiles.find(descriptor.super_tile);
-      if (st_it == supertiles.end()) {
-        return Status::Internal(
-            "super-tile " + std::to_string(descriptor.super_tile) +
-            " required by tile " + std::to_string(descriptor.tile_id) +
-            " was not fetched");
+  for (const TileDescriptor& descriptor : tiles) {
+    HEAVEN_ASSIGN_OR_RETURN(Tile tile,
+                            LoadTile(object, descriptor, supertiles));
+    if (patch != nullptr) {
+      auto overlap = tile.domain().Intersection(patch->domain());
+      if (!overlap.has_value()) {
+        return Status::Internal("affected tile " +
+                                std::to_string(descriptor.tile_id) +
+                                " does not overlap update region " +
+                                patch->domain().ToString());
       }
-      HEAVEN_ASSIGN_OR_RETURN(const Tile* found,
-                              st_it->second->FindTile(descriptor.tile_id));
-      tile = *found;
-      ++tiles_leaving[descriptor.super_tile];
+      HEAVEN_RETURN_IF_ERROR(tile.CopyRegionFrom(patch->tile(), *overlap));
     }
-    auto overlap = tile.domain().Intersection(patch.domain());
-    if (!overlap.has_value()) {
-      return Status::Internal("affected tile " +
-                              std::to_string(descriptor.tile_id) +
-                              " does not overlap update region " +
-                              patch.domain().ToString());
-    }
-    HEAVEN_RETURN_IF_ERROR(tile.CopyRegionFrom(patch.tile(), *overlap));
-
-    const BlobId blob_id = descriptor.location == TileLocation::kDisk
-                               ? descriptor.blob_id
-                               : engine_->blobs()->NextBlobId();
+    const bool on_tape = descriptor.location == TileLocation::kTertiary;
+    const BlobId blob_id =
+        on_tape ? engine_->blobs()->NextBlobId() : descriptor.blob_id;
     disk_bytes += tile.size_bytes();
-    txn->PutBlob(blob_id, std::move(tile.mutable_data()));
-    if (descriptor.location == TileLocation::kTertiary) {
-      CatalogDelta update;
-      update.op = CatalogOp::kUpdateTileLocation;
-      update.object_id = object_id;
-      update.tile = descriptor;
-      update.tile.location = TileLocation::kDisk;
-      update.tile.blob_id = blob_id;
-      update.tile.super_tile = 0;
-      txn->UpdateCatalog(update);
+    m.txn->PutBlob(blob_id, std::move(tile.mutable_data()));
+    if (on_tape) {
+      ++tiles_leaving[descriptor.super_tile];
+      StageTileMove(m.txn, object.object_id, descriptor, blob_id, 0);
     }
   }
 
-  // Drop super-tiles whose every member moved back to disk.
-  bool registry_changed = false;
+  // Drop super-tiles whose every member moved back to disk (tape is
+  // append-only: their extents become dead data).
   for (const auto& [st_id, leaving] : tiles_leaving) {
     const SuperTileMeta* existing = registry_.Find(st_id);
     if (existing == nullptr) continue;
+    m.registry_changed = true;
     if (leaving >= existing->tile_ids.size()) {
       cache_->Erase(st_id);
       registry_.Erase(st_id);
-      registry_changed = true;
-    } else {
-      // Partially updated super-tile: remove the migrated tiles from its
-      // member list so re-reads do not resurrect stale cells. FindMutable
-      // clones the COW shard, leaving pinned snapshots untouched.
-      SuperTileMeta* mutable_meta = registry_.FindMutable(st_id);
-      std::vector<TileId>& members = mutable_meta->tile_ids;
-      for (const TileDescriptor& descriptor : affected) {
-        if (descriptor.location == TileLocation::kTertiary &&
-            descriptor.super_tile == st_id) {
-          members.erase(
-              std::remove(members.begin(), members.end(), descriptor.tile_id),
-              members.end());
-        }
-      }
-      // The departed tiles invalidate the container's bitmap index (its
-      // entries describe cells that no longer live there). Drop it: an
-      // absent index just means "no pruning information", which is always
-      // sound. The next re-export rebuilds it.
-      mutable_meta->index = nullptr;
-      registry_changed = true;
+      continue;
     }
+    // Partially updated super-tile: remove the migrated tiles from its
+    // member list so re-reads do not resurrect stale cells. FindMutable
+    // clones the COW shard, leaving pinned snapshots untouched.
+    SuperTileMeta* mutable_meta = registry_.FindMutable(st_id);
+    std::vector<TileId>& members = mutable_meta->tile_ids;
+    for (const TileDescriptor& descriptor : tiles) {
+      if (descriptor.location == TileLocation::kTertiary &&
+          descriptor.super_tile == st_id) {
+        members.erase(
+            std::remove(members.begin(), members.end(), descriptor.tile_id),
+            members.end());
+      }
+    }
+    // The departed tiles invalidate the container's bitmap index (its
+    // entries describe cells that no longer live there). Drop it: an
+    // absent index just means "no pruning information", which is always
+    // sound. The next re-export rebuilds it.
+    mutable_meta->index = nullptr;
   }
-  if (registry_changed) StageRegistryLocked(txn.get());
-  HEAVEN_RETURN_IF_ERROR(txn->Commit());
-  PublishSnapshot({object_id});
-  client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
-  precomputed_->InvalidateObject(object_id);
-  return PersistPrecomputed();
+  m.touched.push_back(object.object_id);
+  m.client_seconds = options_.disk.AccessSeconds(disk_bytes);
+  precomputed_->InvalidateObject(object.object_id);
+  m.precomputed_changed = true;
+  return Status::Ok();
 }
 
 Status HeavenDb::DeleteObject(ObjectId object_id) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
-                          engine_->catalog()->GetObject(object_id));
-  (void)object;
-  std::unique_ptr<Transaction> txn = engine_->Begin();
-  for (const TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
-    if (tile.location == TileLocation::kDisk) {
-      txn->DeleteBlob(tile.blob_id);
+  return RunMutation("mutate.delete", [&](Mutation& m) -> Status {
+    db_mu_.AssertHeld();
+    HEAVEN_RETURN_IF_ERROR(engine_->catalog()->GetObject(object_id).status());
+    for (const TileDescriptor& tile :
+         engine_->catalog()->ListTiles(object_id)) {
+      if (tile.location == TileLocation::kDisk) {
+        m.txn->DeleteBlob(tile.blob_id);
+      }
     }
-  }
-  CatalogDelta remove;
-  remove.op = CatalogOp::kRemoveObject;
-  remove.object_id = object_id;
-  txn->UpdateCatalog(remove);
+    CatalogDelta remove;
+    remove.op = CatalogOp::kRemoveObject;
+    remove.object_id = object_id;
+    m.txn->UpdateCatalog(remove);
 
-  std::vector<SuperTileId> doomed;
-  registry_.ForEach([&](SuperTileId id, const SuperTileMeta& meta) {
-    if (meta.object_id == object_id) doomed.push_back(id);
+    std::vector<SuperTileId> doomed;
+    registry_.ForEach([&](SuperTileId id, const SuperTileMeta& meta) {
+      if (meta.object_id == object_id) doomed.push_back(id);
+    });
+    for (SuperTileId id : doomed) {
+      cache_->Erase(id);
+      registry_.Erase(id);
+    }
+    curves_.erase(object_id);
+    m.registry_changed = true;
+    m.curves_changed = true;
+    m.touched.push_back(object_id);
+    precomputed_->InvalidateObject(object_id);
+    m.precomputed_changed = true;
+    return Status::Ok();
   });
-  for (SuperTileId id : doomed) {
-    cache_->Erase(id);
-    registry_.Erase(id);
-  }
-  StageRegistryLocked(txn.get());
-  curves_.erase(object_id);
-  HEAVEN_RETURN_IF_ERROR(PersistCurvesLocked(txn.get()));
-  HEAVEN_RETURN_IF_ERROR(txn->Commit());
-  PublishSnapshot({object_id});
-  precomputed_->InvalidateObject(object_id);
-  return PersistPrecomputed();
 }
 
 Result<uint64_t> HeavenDb::ReclaimMedium(MediumId medium) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_ASSIGN_OR_RETURN(uint64_t used_bytes,
-                          library_->MediumUsedBytes(medium));
-  // Live super-tiles on the medium, as copies: the registry is rewritten
-  // only once every copy has landed, so a failure part-way leaves it (and
-  // the published snapshot) untouched; the copies become dead extents.
-  std::vector<SuperTileMeta> live;
-  uint64_t live_bytes = 0;
-  registry_.ForEach([&](SuperTileId, const SuperTileMeta& meta) {
-    if (meta.medium == medium) {
-      live.push_back(meta);
-      live_bytes += meta.size_bytes;
-    }
-  });
-  // Copy them away — ascending offsets, one forward sweep of the source.
-  std::sort(live.begin(), live.end(),
-            [](const SuperTileMeta& a, const SuperTileMeta& b) {
-              return a.offset < b.offset;
-            });
-  std::vector<SuperTileMeta> moved;
-  moved.reserve(live.size());
-  for (const SuperTileMeta& meta : live) {
-    std::string container;
-    // Verified read: reorganisation must never copy silent corruption
-    // forward — the source medium is about to be erased.
-    HEAVEN_RETURN_IF_ERROR(ReadContainerVerified(meta.id, QueryContext(),
-                                                 meta.medium, meta.offset,
-                                                 meta.size_bytes,
-                                                 meta.crc32c, &container));
-    // Emptiest target other than the source.
-    MediumId target = medium;
-    uint64_t best_free = 0;
-    for (MediumId m = 0; m < library_->num_media(); ++m) {
-      if (m == medium) continue;
-      HEAVEN_ASSIGN_OR_RETURN(uint64_t free_bytes,
-                              library_->MediumFreeBytes(m));
-      if (free_bytes > best_free) {
-        best_free = free_bytes;
-        target = m;
-      }
-    }
-    if (target == medium || best_free < container.size()) {
-      return Status::ResourceExhausted(
-          "no space to relocate super-tiles during reclamation");
-    }
-    HEAVEN_ASSIGN_OR_RETURN(uint64_t offset,
-                            library_->Append(target, container));
-    moved.push_back(meta);
-    moved.back().medium = target;
-    moved.back().offset = offset;
-  }
-  // Writes clone the COW shards away from pinned snapshots.
-  for (const SuperTileMeta& meta : moved) {
-    registry_.InsertOrAssign(meta.id, meta);
-  }
-  std::unique_ptr<Transaction> txn = engine_->Begin();
-  StageRegistryLocked(txn.get());
-  Status commit = txn->Commit();
-  if (!commit.ok()) {
-    for (const SuperTileMeta& meta : live) {
-      registry_.InsertOrAssign(meta.id, meta);
-    }
-    return commit;
-  }
-  // Tile descriptors did not change — only registry extents moved — so
-  // every SnapshotObject is reused. Published before the erase, which
-  // cannot undo the committed moves; readers still pinning the old version
-  // may read reused extents, which the CRC check turns into a retried
-  // conflict instead of silent corruption.
-  PublishSnapshot({});
-  HEAVEN_RETURN_IF_ERROR(library_->EraseMedium(medium));
-  return used_bytes - live_bytes;
+  uint64_t reclaimed = 0;
+  HEAVEN_RETURN_IF_ERROR(
+      RunMutation("mutate.reclaim", [&](Mutation& m) -> Status {
+        db_mu_.AssertHeld();
+        HEAVEN_ASSIGN_OR_RETURN(uint64_t used_bytes,
+                                library_->MediumUsedBytes(medium));
+        // Live super-tiles on the medium, as copies.
+        std::vector<SuperTileMeta> live;
+        uint64_t live_bytes = 0;
+        registry_.ForEach([&](SuperTileId, const SuperTileMeta& meta) {
+          if (meta.medium == medium) {
+            live.push_back(meta);
+            live_bytes += meta.size_bytes;
+          }
+        });
+        // Copy them away — ascending offsets, one forward sweep of the
+        // source.
+        std::sort(live.begin(), live.end(),
+                  [](const SuperTileMeta& a, const SuperTileMeta& b) {
+                    return a.offset < b.offset;
+                  });
+        for (SuperTileMeta& meta : live) {
+          std::string container;
+          // Verified read: reorganisation must never copy silent
+          // corruption forward — the source medium is about to be erased.
+          HEAVEN_RETURN_IF_ERROR(ReadContainerVerified(
+              meta.id, QueryContext(), meta.medium, meta.offset,
+              meta.size_bytes, meta.crc32c, &container));
+          // Emptiest target other than the source.
+          MediumId target = medium;
+          uint64_t best_free = 0;
+          for (MediumId t = 0; t < library_->num_media(); ++t) {
+            if (t == medium) continue;
+            HEAVEN_ASSIGN_OR_RETURN(uint64_t free_bytes,
+                                    library_->MediumFreeBytes(t));
+            if (free_bytes > best_free) {
+              best_free = free_bytes;
+              target = t;
+            }
+          }
+          if (target == medium || best_free < container.size()) {
+            return Status::ResourceExhausted(
+                "no space to relocate super-tiles during reclamation");
+          }
+          HEAVEN_ASSIGN_OR_RETURN(meta.offset,
+                                  library_->Append(target, container));
+          meta.medium = target;
+          registry_.InsertOrAssign(meta.id, meta);
+          m.registry_changed = true;
+        }
+        // Tile descriptors did not change — only registry extents moved —
+        // so every SnapshotObject is reused. The erase follows the
+        // publish and cannot undo the committed moves; readers still
+        // pinning the old version may read reused extents, which the CRC
+        // check turns into a retried conflict instead of silent
+        // corruption.
+        m.after_publish = [this, medium] {
+          return library_->EraseMedium(medium);
+        };
+        reclaimed = used_bytes - live_bytes;
+        return Status::Ok();
+      }));
+  return reclaimed;
 }
 
 Status HeavenDb::SetObjectCurve(ObjectId object_id, CurveKind curve) {
-  MutexLock lock(db_mu_);
-  ScopedMutator mutator(&active_mutators_);
-  HEAVEN_RETURN_IF_ERROR(engine_->catalog()->GetObject(object_id).status());
-  const auto it = curves_.find(object_id);
-  const std::optional<CurveKind> prev =
-      it != curves_.end() ? std::optional<CurveKind>(it->second)
-                          : std::nullopt;
-  curves_[object_id] = curve;
-  std::unique_ptr<Transaction> txn = engine_->Begin();
-  HEAVEN_RETURN_IF_ERROR(PersistCurvesLocked(txn.get()));
-  Status commit = txn->Commit();
-  if (!commit.ok()) {
-    if (prev.has_value()) {
-      curves_[object_id] = *prev;
-    } else {
-      curves_.erase(object_id);
-    }
-    return commit;
-  }
-  // No descriptor or tile changed — every SnapshotObject is shared; only
-  // the curve map of the new version differs.
-  PublishSnapshot({});
-  return Status::Ok();
+  return RunMutation("mutate.set_curve", [&](Mutation& m) -> Status {
+    db_mu_.AssertHeld();
+    HEAVEN_RETURN_IF_ERROR(engine_->catalog()->GetObject(object_id).status());
+    // No descriptor or tile changes — every SnapshotObject is shared; only
+    // the curve map of the new version differs.
+    curves_[object_id] = curve;
+    m.curves_changed = true;
+    return Status::Ok();
+  });
 }
 
 Result<CurveKind> HeavenDb::ObjectCurve(ObjectId object_id) const {
@@ -2291,7 +2196,7 @@ size_t HeavenDb::RegisteredSuperTiles() const {
 }
 
 std::vector<SuperTileMeta> HeavenDb::RegistrySnapshot() const {
-  return AcquireReadSnapshot()->SortedRegistry();
+  return SortedRegistry(AcquireReadSnapshot()->registry);
 }
 
 }  // namespace heaven

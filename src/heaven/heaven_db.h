@@ -163,7 +163,8 @@ class HeavenDb {
 
   // ---- Schema / ingest ------------------------------------------------
 
-  Result<CollectionId> CreateCollection(const std::string& name);
+  Result<CollectionId> CreateCollection(const std::string& name)
+      EXCLUDES(db_mu_);
 
   /// Removes an empty collection; FailedPrecondition if objects remain.
   Status DropCollection(const std::string& name) EXCLUDES(db_mu_);
@@ -370,47 +371,71 @@ class HeavenDb {
   /// Per-object curve tags, persisted as their own catalog section so the
   /// object-descriptor encoding stays untouched.
   Status LoadCurves();
-  Status PersistCurvesLocked(Transaction* txn) REQUIRES(db_mu_);
-  /// Stages the serialized registry on `txn`, so it commits atomically
-  /// with the tile moves of the same mutation.
-  void StageRegistryLocked(Transaction* txn) REQUIRES(db_mu_);
 
   /// Builds and installs a new DbSnapshot from the committed catalog and
-  /// registry state. Called by every mutator after its transaction
-  /// commits, still under the db_mu_ that serializes version
-  /// installation. Objects not in `touched` share their SnapshotObject
-  /// (and its lazily built tile index) with the previous version.
+  /// registry state. Called by RunMutation after the transaction commits,
+  /// still under the db_mu_ that serializes version installation. Objects
+  /// not in `touched` share their SnapshotObject (and its lazily built
+  /// tile index) with the previous version.
   void PublishSnapshot(const std::vector<ObjectId>& touched)
       REQUIRES(db_mu_);
 
-  /// The registry serialized for persistence: entries sorted by id, the
-  /// same byte image the pre-snapshot std::map registry produced.
-  std::string SerializeRegistryLocked() const REQUIRES(db_mu_);
+  /// What a mutation body changed, in the style of vts-libs'
+  /// TileSet::Detail: the body stages catalog and blob changes on `txn`,
+  /// edits registry_ / curves_ in place and flags the sections it dirtied,
+  /// so RunMutation persists and publishes exactly those.
+  struct Mutation {
+    Transaction* txn = nullptr;
+    bool registry_changed = false;
+    bool curves_changed = false;
+    bool precomputed_changed = false;
+    /// Objects whose descriptor or tiles changed (see PublishSnapshot).
+    std::vector<ObjectId> touched;
+    /// Charged to the client clock once the mutation is published.
+    double client_seconds = 0.0;
+    /// Runs after the publish, still under db_mu_ (journal commit, medium
+    /// erase); its error is the mutator's.
+    std::function<Status()> after_publish;
+  };
 
-  /// Insert body: validates, commits the object and its tiles, publishes
-  /// and charges the client clock. Never runs the migration policy, so the
-  /// export's overview step can call it without recursing into migration.
-  Result<ObjectId> InsertObjectLocked(CollectionId collection,
-                                      const std::string& name,
-                                      const MddArray& data,
-                                      std::vector<int64_t> tile_extents)
+  /// The wrapper every mutator runs in: takes db_mu_, counts the mutator
+  /// for RunQuery's conflict-retry gate, opens one transaction and runs
+  /// `body`. On success it stages the dirty catalog sections, commits,
+  /// publishes once, charges the client clock and runs `after_publish`.
+  /// On any error that the catalog did not apply, registry_ and curves_
+  /// are restored from the last published snapshot — the live state when
+  /// the body began — so a failed mutator leaves memory untouched. The
+  /// body runs with db_mu_ held (it opens with db_mu_.AssertHeld()) and
+  /// never calls a public mutator, so the lock is never re-entered.
+  Status RunMutation(const char* label,
+                     const std::function<Status(Mutation& m)>& body)
+      EXCLUDES(db_mu_);
+
+  /// Stages the insert of `data` as object `name` on `m`: the object and
+  /// its tiles, tagged with the configured curve. Never runs the migration
+  /// policy, so an export can stage its overview with it.
+  Result<ObjectId> StageInsert(Mutation& m, CollectionId collection,
+                               const std::string& name, const MddArray& data,
+                               std::vector<int64_t> tile_extents)
       REQUIRES(db_mu_);
 
-  /// Synchronous export for the client path and the TCT: takes db_mu_ and
-  /// runs ExportObjectSyncLocked.
+  /// Synchronous export for the client path, the TCT and the migration
+  /// policy, as one mutation: a failed export leaves neither registry
+  /// entries nor an overview behind (its tape extents become dead data,
+  /// as after a delete); a committed one is marked in the journal.
   Status ExportObjectSync(ObjectId object_id) EXCLUDES(db_mu_);
 
-  /// On failure every in-memory registry entry the attempt added is rolled
-  /// back (the tape extents become dead data, as after a delete); on
-  /// success the export is published and marked committed in the journal.
-  Status ExportObjectSyncLocked(ObjectId object_id) REQUIRES(db_mu_);
-
   /// Export body: partitions, clusters, writes and registers the object's
-  /// disk tiles. Ids of registry entries added (even on failure) are
-  /// appended to `added` so the caller can undo them.
-  Status ExportObjectLocked(ObjectId object_id,
-                            std::vector<SuperTileId>* added)
-      REQUIRES(db_mu_);
+  /// disk tiles, staging the tile moves (and the overview) on `m`.
+  Status StageExport(Mutation& m, ObjectId object_id) REQUIRES(db_mu_);
+
+  /// Update/re-import body: moves `tiles` of `object` back to disk,
+  /// patched with `patch` when given, and drops or trims the super-tiles
+  /// they leave. The object's precomputed results are invalidated.
+  Status StageTilesToDisk(Mutation& m, const DbSnapshot& snap,
+                          const ObjectDescriptor& object,
+                          const std::vector<TileDescriptor>& tiles,
+                          const MddArray* patch) REQUIRES(db_mu_);
 
   /// Builds one super-tile from the group's disk tiles (export step 5).
   Result<SuperTile> BuildSuperTile(
@@ -420,21 +445,21 @@ class HeavenDb {
       REQUIRES(db_mu_);
 
   /// Appends the serialized container to tape, registers the super-tile
-  /// (journaling the landed extent) and stages the tile moves on `txn`.
+  /// (journaling the landed extent) and stages the tile moves on `m`.
   Status AppendAndRegister(
       const SuperTile& st, const std::string& container, ObjectId object_id,
       const SuperTileGroup& group, MediumId medium,
-      const std::map<TileId, const TileDescriptor*>& by_id, Transaction* txn,
-      std::vector<SuperTileId>* added) REQUIRES(db_mu_);
+      const std::map<TileId, const TileDescriptor*>& by_id, Mutation& m)
+      REQUIRES(db_mu_);
 
   /// Replays the export journal on reopen: rolls orphaned (uncommitted)
   /// tape extents back and re-enqueues unfinished objects for the TCT.
   Status RecoverExports();
 
   /// Enforces the migration watermarks (see HeavenOptions); called by
-  /// InsertObject under the db_mu_ it already holds. Synchronous
-  /// migration runs ExportObjectSyncLocked.
-  Status RunMigrationPolicy() REQUIRES(db_mu_);
+  /// InsertObject after its mutation returned. Synchronous migration runs
+  /// each export as a mutation of its own.
+  Status RunMigrationPolicy() EXCLUDES(db_mu_);
 
   /// The wrapper every public read runs in: the outermost profile scope
   /// `label` (inner scopes nest as no-ops, so NoteQueryOutcome's label
@@ -540,6 +565,13 @@ class HeavenDb {
   void PruneTilesWithIndex(const DbSnapshot& snap, const MdInterval& region,
                            std::vector<TileDescriptor>* needed);
 
+  /// One tile's cells, from its disk blob or its (already fetched)
+  /// super-tile in `supertiles`.
+  Result<Tile> LoadTile(
+      const ObjectDescriptor& object, const TileDescriptor& descriptor,
+      const std::map<SuperTileId, std::shared_ptr<const SuperTile>>&
+          supertiles);
+
   /// Materializes `needed` tiles from disk blobs or the supplied
   /// super-tiles (every tertiary tile's super-tile must be present),
   /// charging the client disk cost.
@@ -600,7 +632,7 @@ class HeavenDb {
       const Status& status) EXCLUDES(fetch_mu_);
 
   /// Reads one container with bounded retry and verifies it against
-  /// `crc32c` (when non-zero), re-fetching exactly once on a mismatch. A
+  /// `crc32c`, re-fetching exactly once on a mismatch. A
   /// second mismatch is permanent corruption and surfaces a precise
   /// Status::Corruption — never silently wrong bytes. The retry loop is
   /// deadline- and cancellation-aware through `ctx`.
@@ -654,12 +686,12 @@ class HeavenDb {
   /// output slots.
   std::unique_ptr<ThreadPool> pool_;  // analyze: unguarded(fixed at Open)
 
-  /// Top-level mutator lock. Mutators (insert, export, update, delete,
-  /// reclaim) hold it one at a time; query paths do NOT take it at all —
-  /// they run against a pinned DbSnapshot, and every component they touch
-  /// (blob store, tape library, cache, clocks, statistics) is internally
-  /// locked. Not recursive: public mutators are EXCLUDES(db_mu_) and
-  /// nested work calls their REQUIRES(db_mu_) …Locked bodies instead.
+  /// Top-level mutator lock, taken only by RunMutation: mutators hold it
+  /// one at a time; query paths do NOT take it at all — they run against
+  /// a pinned DbSnapshot, and every component they touch (blob store,
+  /// tape library, cache, clocks, statistics) is internally locked. Not
+  /// recursive: public mutators are EXCLUDES(db_mu_) and nested work
+  /// calls REQUIRES(db_mu_) Stage… bodies instead.
   /// The root of the lock order: HeavenDb's own locks below declare
   /// ACQUIRED_AFTER it, other classes name it as "HeavenDb::db_mu_".
   Mutex db_mu_ ACQUIRED_BEFORE(prefetch_mu_, fetch_mu_, tct_mu_);
@@ -675,7 +707,7 @@ class HeavenDb {
   /// mutators install successors under db_mu_ via PublishSnapshot; retired
   /// versions are reclaimed once no reader can still hold them.
   VersionedState<DbSnapshot> snapshot_;  // analyze: unguarded(RCU inside)
-  /// Mutators in progress (ScopedMutator). A conflict-shaped read error is
+  /// Mutators in progress (RunMutation). A conflict-shaped read error is
   /// only retried when this is non-zero or the version advanced — serial
   /// workloads keep the exact legacy error surface, clocks and tickers.
   std::atomic<int> active_mutators_{0};

@@ -132,11 +132,10 @@ Result<SuperTile> SuperTile::Deserialize(std::string_view data) {
 }
 
 namespace {
-// Version 1 images start directly with the meta count; a count can never be
-// UINT64_MAX, so that value tags versioned images (version follows as u32).
+// Registry images start with this tag (a value no meta count can take),
+// then the format version. v3 carries the container CRC32C and a
+// length-prefixed bitmap-index blob per meta (empty = no index).
 constexpr uint64_t kMetaVersionTag = 0xffffffffffffffffULL;
-// v2 adds the container CRC32C; v3 appends a length-prefixed bitmap-index
-// blob per meta (empty = no index, how pre-v3 objects round-trip).
 constexpr uint32_t kMetaFormatVersion = 3;
 }  // namespace
 
@@ -166,20 +165,22 @@ Result<std::vector<SuperTileMeta>> DeserializeSuperTileMetas(
   std::vector<SuperTileMeta> metas;
   if (image.empty()) return metas;
   Decoder dec(image);
+  uint64_t tag = 0;
+  uint32_t version = 0;
+  HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&tag));
+  if (tag != kMetaVersionTag) {
+    return Status::Corruption("untagged (pre-v3) super-tile registry image");
+  }
+  HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&version));
+  if (version != kMetaFormatVersion) {
+    return Status::Corruption("unsupported super-tile registry version " +
+                              std::to_string(version));
+  }
   uint64_t count = 0;
   HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&count));
-  uint32_t version = 1;
-  if (count == kMetaVersionTag) {
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&version));
-    if (version < 2 || version > kMetaFormatVersion) {
-      return Status::Corruption("unsupported super-tile registry version " +
-                                std::to_string(version));
-    }
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&count));
-  }
-  // Every meta record occupies at least 40 bytes (v1 fixed fields plus the
-  // hull dimension count and tile count); a larger count cannot be encoded
-  // in the remaining payload and must not reach reserve().
+  // Every meta record occupies at least 40 bytes (its fixed fields plus
+  // the tile count); a larger count cannot be encoded in the remaining
+  // payload and must not reach reserve().
   if (count > dec.remaining() / 40) {
     return Status::Corruption("super-tile meta count exceeds payload");
   }
@@ -191,9 +192,7 @@ Result<std::vector<SuperTileMeta>> DeserializeSuperTileMetas(
     HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&meta.medium));
     HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&meta.offset));
     HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&meta.size_bytes));
-    if (version >= 2) {
-      HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&meta.crc32c));
-    }
+    HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&meta.crc32c));
     HEAVEN_RETURN_IF_ERROR(DecodeInterval(&dec, &meta.hull));
     uint32_t tile_count = 0;
     HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&tile_count));
@@ -207,15 +206,12 @@ Result<std::vector<SuperTileMeta>> DeserializeSuperTileMetas(
       HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&tile_id));
       meta.tile_ids.push_back(tile_id);
     }
-    if (version >= 3) {
-      std::string index_blob;
-      HEAVEN_RETURN_IF_ERROR(dec.GetLengthPrefixed(&index_blob));
-      if (!index_blob.empty()) {
-        HEAVEN_ASSIGN_OR_RETURN(SuperTileIndex index,
-                                SuperTileIndex::Deserialize(index_blob));
-        meta.index =
-            std::make_shared<const SuperTileIndex>(std::move(index));
-      }
+    std::string index_blob;
+    HEAVEN_RETURN_IF_ERROR(dec.GetLengthPrefixed(&index_blob));
+    if (!index_blob.empty()) {
+      HEAVEN_ASSIGN_OR_RETURN(SuperTileIndex index,
+                              SuperTileIndex::Deserialize(index_blob));
+      meta.index = std::make_shared<const SuperTileIndex>(std::move(index));
     }
     metas.push_back(std::move(meta));
   }

@@ -75,7 +75,6 @@ struct SuperTileMeta {
   uint64_t size_bytes = 0;   // container size
   /// CRC32C of the whole serialized container, verified against the bytes
   /// coming back from tape on every fetch (end-to-end bit-rot detection).
-  /// 0 = unknown (registry written before checksums existed).
   uint32_t crc32c = 0;
   MdInterval hull;
   std::vector<TileId> tile_ids;
@@ -87,7 +86,8 @@ struct SuperTileMeta {
   std::shared_ptr<const SuperTileIndex> index;
 };
 
-/// Serialization of the registry (persisted as a catalog section).
+/// Serialization of the registry (persisted as a catalog section). Only
+/// the current (v3) format decodes; older images are Corruption.
 std::string SerializeSuperTileMetas(const std::vector<SuperTileMeta>& metas);
 Result<std::vector<SuperTileMeta>> DeserializeSuperTileMetas(
     std::string_view image);

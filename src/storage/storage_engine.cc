@@ -191,6 +191,7 @@ Status StorageEngine::CommitTransaction(Transaction* txn) {
     commit.txn_id = txn->id_;
     commit.op = WalOp::kCommit;
     HEAVEN_RETURN_IF_ERROR(wal_->Append(commit, &commit_end));
+    txn->applied_ = true;
     for (const WalRecord& record : txn->records_) {
       HEAVEN_RETURN_IF_ERROR(ApplyRecord(record));
     }

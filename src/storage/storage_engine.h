@@ -61,6 +61,12 @@ class Transaction {
   void Abort();
 
   bool finished() const { return finished_; }
+  /// Nothing is staged.
+  bool empty() const { return records_.empty(); }
+  /// Commit logged the commit marker: the transaction is being applied and
+  /// recovery replays it, so a Commit error after this point means "not
+  /// durable", not "not applied".
+  bool applied() const { return applied_; }
 
  private:
   friend class StorageEngine;
@@ -70,6 +76,7 @@ class Transaction {
   StorageEngine* engine_;
   uint64_t id_;
   bool finished_ = false;
+  bool applied_ = false;
   std::vector<WalRecord> records_;
 };
 

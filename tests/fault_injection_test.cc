@@ -643,5 +643,71 @@ TEST(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
   }
 }
 
+// The precomputed-results section commits with the update that invalidates
+// it: killed at any write point, the reopened database never serves an
+// aggregate of a state ReadObject does not return.
+TEST(CrashRecoveryTest, UpdateAfterCachedAggregateKeepsPrecomputedConsistent) {
+  const MdInterval domain({0, 0}, {29, 29});
+  const MdInterval region({0, 0}, {14, 14});
+  MddArray patch(MdInterval({5, 5}, {20, 20}), CellType::kFloat);
+  patch.Generate([](const MdPoint&) { return -7.0; });
+  HeavenOptions options;
+  options.library.profile = MidTapeProfile();
+  options.library.num_drives = 2;
+  options.library.num_media = 4;
+  options.disk_tile_bytes = 1024;
+  options.supertile_bytes = 4 << 10;
+
+  // Builds an archived object with a cached (and persisted) aggregate over
+  // `region`.
+  auto setup = [&](FaultInjectionEnv* env) -> ObjectId {
+    auto db = HeavenDb::Open(env, "/db", options);
+    HEAVEN_CHECK(db.ok()) << db.status().ToString();
+    auto coll = (*db)->CreateCollection("c");
+    HEAVEN_CHECK(coll.ok());
+    auto id = (*db)->InsertObject(*coll, "a", Ramp(domain));
+    HEAVEN_CHECK(id.ok());
+    HEAVEN_CHECK((*db)->ExportObject(*id).ok());
+    HEAVEN_CHECK((*db)->Aggregate(*id, Condenser::kSum, region).ok());
+    return *id;
+  };
+  uint64_t update_writes = 0;  // the writes the update issues
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    const ObjectId id = setup(&env);
+    auto db = HeavenDb::Open(&env, "/db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const uint64_t before = env.writes_issued();
+    ASSERT_TRUE((*db)->UpdateRegion(id, patch).ok());
+    update_writes = env.writes_issued() - before;
+  }
+  ASSERT_GT(update_writes, 0u);
+  ASSERT_LT(update_writes, 300u) << "sweep would be too slow";
+
+  for (uint64_t limit = 1; limit <= update_writes; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    const ObjectId id = setup(&env);
+    {
+      auto db = HeavenDb::Open(&env, "/db", options);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      env.SetWriteLimit(limit);  // the power cut is armed
+      (void)(*db)->UpdateRegion(id, patch);  // may fail: that IS the crash
+      env.ClearWriteLimit();
+    }
+    auto db = HeavenDb::Open(&env, "/db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto read = (*db)->ReadObject(id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    auto want = CondenseRegion(*read, Condenser::kSum, region);
+    ASSERT_TRUE(want.ok());
+    auto got = (*db)->Aggregate(id, Condenser::kSum, region);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_DOUBLE_EQ(*got, *want);
+  }
+}
+
 }  // namespace
 }  // namespace heaven

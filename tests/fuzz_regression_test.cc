@@ -226,7 +226,8 @@ TEST(FuzzRegressionTest, RegistryHugeMetaCountIsCorruption) {
 }
 
 TEST(FuzzRegressionTest, RegistryHugeTileCountIsCorruption) {
-  // One v1 meta whose tile list declares 2^31 ids with no bytes behind.
+  // An untagged (v1) image whose one meta declares 2^31 tile ids with no
+  // bytes behind: refused as Corruption without a crash or a huge reserve.
   std::string image;
   PutFixed64(&image, 1);  // count (v1: no version tag)
   PutFixed64(&image, 42);  // id

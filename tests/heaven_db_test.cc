@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -602,6 +605,120 @@ TEST_F(HeavenDbTest, FailedReclaimLeavesRegistryUntouched) {
   EXPECT_EQ(read.value(), data);
 }
 
+/// A mutator run against object `id` whose commit is made to fail.
+struct FailingMutator {
+  std::string name;
+  std::function<Status(HeavenDb*, ObjectId)> run;
+};
+
+void PrintTo(const FailingMutator& mutator, std::ostream* os) {
+  *os << mutator.name;
+}
+
+class FailedMutatorTest : public ::testing::TestWithParam<FailingMutator> {};
+
+TEST_P(FailedMutatorTest, LeavesMemoryUntouched) {
+  // Writes go through a fault-injecting env, so the commit can be failed.
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  HeavenOptions options;
+  options.library.profile = MidTapeProfile();
+  options.library.num_drives = 2;
+  options.library.num_media = 8;
+  options.supertile_bytes = 2048;  // a few 10x10 float tiles per container
+  auto db = HeavenDb::Open(&env, "/db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto coll = (*db)->CreateCollection("c");
+  ASSERT_TRUE(coll.ok());
+  const MddArray data = Ramp(MdInterval({0, 0}, {39, 39}));
+  auto a = (*db)->InsertObject(*coll, "a", data, {10, 10});
+  auto b = (*db)->InsertObject(*coll, "b", data, {10, 10});
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE((*db)->ExportObject(*a).ok());
+  const std::vector<SuperTileMeta> before = (*db)->RegistrySnapshot();
+  ASSERT_GT(before.size(), 1u);
+  ASSERT_LT(before.size(), 16u);  // containers hold several tiles
+  auto curve = (*db)->ObjectCurve(*a);
+  ASSERT_TRUE(curve.ok());
+
+  env.SetWriteLimit(1);  // the commit's first write fails
+  Status status = GetParam().run(db->get(), *a);
+  env.ClearWriteLimit();
+  ASSERT_FALSE(status.ok());
+
+  // A publishing mutator on another object must not expose the failed
+  // mutator's edits.
+  ASSERT_TRUE((*db)->SetObjectCurve(*b, CurveKind::kHilbert).ok());
+  EXPECT_TRUE(SerializeSuperTileMetas((*db)->RegistrySnapshot()) ==
+              SerializeSuperTileMetas(before));
+  auto curve_after = (*db)->ObjectCurve(*a);
+  ASSERT_TRUE(curve_after.ok());
+  EXPECT_EQ(*curve_after, *curve);
+  auto read = (*db)->ReadObject(*a);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), data);
+}
+
+Status Patch(HeavenDb* db, ObjectId id, const MdInterval& region) {
+  MddArray patch(region, CellType::kFloat);
+  patch.Generate([](const MdPoint&) { return -1.0; });
+  return db->UpdateRegion(id, patch);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutators, FailedMutatorTest,
+    ::testing::Values(
+        FailingMutator{"Delete",
+                       [](HeavenDb* db, ObjectId id) {
+                         return db->DeleteObject(id);
+                       }},
+        FailingMutator{"Reimport",
+                       [](HeavenDb* db, ObjectId id) {
+                         return db->ReimportObject(id);
+                       }},
+        // One tile leaves its container; the container stays registered.
+        FailingMutator{"UpdatePartialDeparture",
+                       [](HeavenDb* db, ObjectId id) {
+                         return Patch(db, id, MdInterval({0, 0}, {0, 0}));
+                       }},
+        // Every tile leaves; every container is dropped.
+        FailingMutator{"UpdateFullDeparture",
+                       [](HeavenDb* db, ObjectId id) {
+                         return Patch(db, id, MdInterval({0, 0}, {39, 39}));
+                       }},
+        FailingMutator{"SetObjectCurve",
+                       [](HeavenDb* db, ObjectId id) {
+                         return db->SetObjectCurve(id, CurveKind::kHilbert);
+                       }}),
+    [](const ::testing::TestParamInfo<FailingMutator>& info) {
+      return info.param.name;
+    });
+
+TEST_F(HeavenDbTest, ConcurrentCreateCollectionRegistersNameOnce) {
+  OpenFreshDb(nullptr);
+  constexpr int kThreads = 8;
+  std::vector<Status> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back(
+        [&, i] { results[i] = db_->CreateCollection("same").status(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  int created = 0;
+  for (const Status& status : results) {
+    if (status.ok()) {
+      ++created;
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kAlreadyExists)
+          << status.ToString();
+    }
+  }
+  EXPECT_EQ(created, 1);
+  const auto collections = db_->engine()->catalog()->ListCollections();
+  ASSERT_EQ(collections.size(), 1u);
+  EXPECT_EQ(collections[0].second, "same");
+}
+
 TEST_F(HeavenDbTest, ReclaimEmptyMediumIsNoOp) {
   auto reclaimed = db_->ReclaimMedium(3);
   ASSERT_TRUE(reclaimed.ok());
@@ -812,6 +929,36 @@ TEST_F(HeavenDbTest, OverviewMaterializedOnExport) {
   ASSERT_TRUE(db_->ExportObject(*id).ok());
   EXPECT_FALSE(
       db_->InsertObject(*coll, "scene__overview", data).ok());  // exists
+}
+
+TEST_F(HeavenDbTest, FailedExportLeavesNoOverview) {
+  // The overview is staged in the export's own transaction: when a tape
+  // write fails, neither the super-tiles nor the overview are committed.
+  OpenFreshDb([](HeavenOptions* options) {
+    options->library.num_media = 1;
+    options->overview_scale_factor = 4;
+  });
+  auto coll = db_->CreateCollection("x");
+  ASSERT_TRUE(coll.ok());
+  const MddArray data = Ramp(MdInterval({0, 0}, {99, 99}));
+  auto a = db_->InsertObject(*coll, "a", data);
+  ASSERT_TRUE(a.ok());
+  FaultPolicy policy;
+  policy.enabled = true;
+  policy.seed = 1;
+  policy.max_faults = 1;
+  policy.tape_write_error_p = 0.5;
+  FaultInjector injector(policy, db_->stats());
+  db_->library()->SetFaultInjector(&injector);
+  Status exported = db_->ExportObject(*a);
+  db_->library()->SetFaultInjector(nullptr);
+  EXPECT_EQ(exported.code(), StatusCode::kIOError) << exported.ToString();
+  EXPECT_FALSE(db_->FindObject("a__overview").ok());
+  EXPECT_FALSE(db_->engine()->catalog()->FindObject("a__overview").ok());
+  // A clean retry exports the object and materializes its overview once.
+  ASSERT_TRUE(db_->ExportObject(*a).ok());
+  EXPECT_TRUE(AllTilesAt(*a, TileLocation::kTertiary));
+  ExpectOverviewOnDisk("a");
 }
 
 TEST_F(HeavenDbTest, OverviewDisabledByDefault) {

@@ -1,14 +1,18 @@
 // Model-based randomized testing: a HeavenDb instance is driven through a
 // random sequence of operations (insert, export, re-import, update, region
-// reads, frame reads, aggregates, deletes) while a plain in-memory model
-// (std::map of MddArray) tracks the expected state. After every step the
-// observable behaviour must match the model exactly, regardless of where
-// the bytes currently live in the storage hierarchy.
+// reads, batched reads, frame reads, aggregates, deletes, media
+// reclamation) while a plain in-memory model (std::map of MddArray) tracks
+// the expected state. After every step the observable behaviour must match
+// the model exactly, regardless of where the bytes currently live in the
+// storage hierarchy, of the configuration, and of close/reopen cycles.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -18,7 +22,23 @@
 namespace heaven {
 namespace {
 
-class ModelBasedTest : public ::testing::TestWithParam<uint64_t> {};
+/// One point of the configuration matrix the oracle runs over.
+struct ModelConfig {
+  size_t num_threads = 1;
+  Compression codec = Compression::kNone;
+  bool decoupled_export = false;
+  uint64_t seed = 0;
+};
+
+std::string ConfigName(const ::testing::TestParamInfo<ModelConfig>& info) {
+  const ModelConfig& c = info.param;
+  return "t" + std::to_string(c.num_threads) + "_" +
+         (c.codec == Compression::kNone ? "none" : "deltarle") + "_" +
+         (c.decoupled_export ? "tct" : "sync") + "_seed" +
+         std::to_string(c.seed);
+}
+
+class ModelBasedTest : public ::testing::TestWithParam<ModelConfig> {};
 
 MdInterval RandomSubBox(Rng* rng, const MdInterval& domain) {
   std::vector<int64_t> lo(domain.dims());
@@ -31,7 +51,8 @@ MdInterval RandomSubBox(Rng* rng, const MdInterval& domain) {
 }
 
 TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
-  Rng rng(GetParam());
+  const ModelConfig& config = GetParam();
+  Rng rng(config.seed);
   MemEnv env;
   HeavenOptions options;
   options.library.profile = FastTapeProfile();
@@ -41,9 +62,17 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
   options.supertile_bytes = 4096;
   options.cache.capacity_bytes = 16 << 10;  // small: force evictions
   options.cache.policy = EvictionPolicy::kLru;
-  auto db_result = HeavenDb::Open(&env, "/mb", options);
-  ASSERT_TRUE(db_result.ok());
-  std::unique_ptr<HeavenDb> db = std::move(db_result).value();
+  options.num_threads = config.num_threads;
+  options.compression = config.codec;
+  options.decoupled_export = config.decoupled_export;
+  std::unique_ptr<HeavenDb> db;
+  auto open = [&] {
+    db.reset();  // close first: one instance per directory
+    auto opened = HeavenDb::Open(&env, "/mb", options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db = std::move(opened).value();
+  };
+  open();
   auto collection = db->CreateCollection("mb");
   ASSERT_TRUE(collection.ok());
 
@@ -53,7 +82,14 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
   int next_name = 0;
 
   for (int step = 0; step < 120; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     const uint64_t action = rng.Uniform(100);
+    // Queued (decoupled) exports finish before anything but another export
+    // runs, so every check sees a settled state.
+    if (action < 15 || action >= 30) {
+      ASSERT_TRUE(db->DrainExports().ok());
+    }
+    if (step > 0 && step % 30 == 0) open();
     if (model.empty() || action < 15) {
       // Insert a fresh 2-D object.
       const int64_t w = rng.UniformRange(8, 40);
@@ -78,29 +114,48 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
     const ObjectId id = ids[name];
 
     if (action < 30) {
-      ASSERT_TRUE(db->ExportObject(id).ok()) << "step " << step;
-    } else if (action < 38) {
-      ASSERT_TRUE(db->ReimportObject(id).ok()) << "step " << step;
-    } else if (action < 50) {
+      ASSERT_TRUE(db->ExportObject(id).ok());
+    } else if (action < 36) {
+      ASSERT_TRUE(db->ReimportObject(id).ok());
+    } else if (action < 46) {
       // Update a random region with fresh values.
       const MdInterval region = RandomSubBox(&rng, expected.domain());
       MddArray patch(region, CellType::kLong);
       patch.Generate([&](const MdPoint&) {
         return static_cast<double>(rng.UniformRange(-500, 500));
       });
-      ASSERT_TRUE(db->UpdateRegion(id, patch).ok()) << "step " << step;
+      ASSERT_TRUE(db->UpdateRegion(id, patch).ok());
       ASSERT_TRUE(
           it->second.mutable_tile().CopyRegionFrom(patch.tile(), region).ok());
-    } else if (action < 70) {
+    } else if (action < 60) {
       // Region read.
       const MdInterval region = RandomSubBox(&rng, expected.domain());
       auto got = db->ReadRegion(id, region);
-      ASSERT_TRUE(got.ok()) << got.status().ToString() << " step " << step;
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
       auto want = Trim(expected, region);
       ASSERT_TRUE(want.ok());
-      ASSERT_EQ(*got, *want) << name << " region " << region.ToString()
-                             << " step " << step;
-    } else if (action < 80) {
+      ASSERT_EQ(*got, *want) << name << " region " << region.ToString();
+    } else if (action < 68) {
+      // Batched read of random regions of random live objects.
+      std::vector<std::pair<ObjectId, MdInterval>> queries;
+      std::vector<const MddArray*> wanted;
+      const uint64_t n = 1 + rng.Uniform(3);
+      for (uint64_t q = 0; q < n; ++q) {
+        auto pick = model.begin();
+        std::advance(pick, static_cast<long>(rng.Uniform(model.size())));
+        queries.emplace_back(ids[pick->first],
+                             RandomSubBox(&rng, pick->second.domain()));
+        wanted.push_back(&pick->second);
+      }
+      auto got = db->ReadRegions(queries);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto want = Trim(*wanted[q], queries[q].second);
+        ASSERT_TRUE(want.ok());
+        ASSERT_EQ((*got)[q], *want) << "batch query " << q;
+      }
+    } else if (action < 76) {
       // Frame read over two random boxes.
       const MdInterval box_a = RandomSubBox(&rng, expected.domain());
       const MdInterval box_b = RandomSubBox(&rng, expected.domain());
@@ -118,24 +173,36 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
         }
         const double want =
             frame->ContainsPoint(p) ? expected.At(p) : 0.0;
-        ASSERT_EQ(got->At(p), want) << p.ToString() << " step " << step;
+        ASSERT_EQ(got->At(p), want) << p.ToString();
       }
-    } else if (action < 90) {
+    } else if (action < 86) {
       // Aggregate.
       const MdInterval region = RandomSubBox(&rng, expected.domain());
       auto got = db->Aggregate(id, Condenser::kSum, region);
       ASSERT_TRUE(got.ok());
       auto want = CondenseRegion(expected, Condenser::kSum, region);
       ASSERT_TRUE(want.ok());
-      ASSERT_DOUBLE_EQ(*got, *want) << "step " << step;
+      ASSERT_DOUBLE_EQ(*got, *want);
+    } else if (action < 92) {
+      // Reclaim a random medium: live containers move, the medium empties.
+      const MediumId medium =
+          static_cast<MediumId>(rng.Uniform(options.library.num_media));
+      auto reclaimed = db->ReclaimMedium(medium);
+      ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+      auto used = db->library()->MediumUsedBytes(medium);
+      ASSERT_TRUE(used.ok());
+      EXPECT_EQ(*used, 0u);
     } else {
-      ASSERT_TRUE(db->DeleteObject(id).ok()) << "step " << step;
+      ASSERT_TRUE(db->DeleteObject(id).ok());
       ids.erase(name);
       model.erase(it);
     }
   }
 
-  // Final sweep: every surviving object reads back exactly.
+  // Final sweep, after one more reopen: every surviving object reads back
+  // exactly.
+  ASSERT_TRUE(db->DrainExports().ok());
+  open();
   for (const auto& [name, expected] : model) {
     auto got = db->ReadObject(ids[name]);
     ASSERT_TRUE(got.ok()) << name;
@@ -143,8 +210,22 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ModelBasedTest,
-                         ::testing::Values(1001, 2002, 3003, 4004, 5005));
+std::vector<ModelConfig> ModelMatrix() {
+  std::vector<ModelConfig> configs;
+  for (size_t threads : {1, 4}) {
+    for (Compression codec : {Compression::kNone, Compression::kDeltaRle}) {
+      for (bool decoupled : {false, true}) {
+        for (uint64_t seed : {1001, 2002, 3003}) {
+          configs.push_back({threads, codec, decoupled, seed});
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, ModelBasedTest,
+                         ::testing::ValuesIn(ModelMatrix()), ConfigName);
 
 // ---- Failure injection -------------------------------------------------
 

@@ -121,9 +121,9 @@ TEST(SuperTileMetaTest, RegistrySerializationRoundTrip) {
   EXPECT_EQ((*restored)[1].crc32c, 0u);
 }
 
-TEST(SuperTileMetaTest, LegacyV1RegistryImageStillDecodes) {
+TEST(SuperTileMetaTest, LegacyV1RegistryImageIsCorruption) {
   // A pre-checksum registry image: no version tag, count first, no crc32c
-  // field per entry. Decoding must succeed with crc32c == 0 (unknown).
+  // field per entry. Its entries could not be verified, so it is refused.
   std::string image;
   PutFixed64(&image, 1);       // count (below the version-tag sentinel)
   PutFixed64(&image, 7);       // id
@@ -135,12 +135,28 @@ TEST(SuperTileMetaTest, LegacyV1RegistryImageStillDecodes) {
   PutFixed32(&image, 1);       // tile count
   PutFixed64(&image, 42);      // tile id
   auto restored = DeserializeSuperTileMetas(image);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->size(), 1u);
-  EXPECT_EQ((*restored)[0].id, 7u);
-  EXPECT_EQ((*restored)[0].size_bytes, 2048u);
-  EXPECT_EQ((*restored)[0].crc32c, 0u);
-  EXPECT_EQ((*restored)[0].tile_ids, (std::vector<TileId>{42}));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SuperTileMetaTest, LegacyV2RegistryImageIsCorruption) {
+  // A tagged v2 image (CRC but no per-entry index blob).
+  std::string image;
+  PutFixed64(&image, 0xffffffffffffffffULL);  // version tag
+  PutFixed32(&image, 2);
+  PutFixed64(&image, 1);       // count
+  PutFixed64(&image, 7);       // id
+  PutFixed64(&image, 5);       // object_id
+  PutFixed32(&image, 2);       // medium
+  PutFixed64(&image, 512);     // offset
+  PutFixed64(&image, 2048);    // size_bytes
+  PutFixed32(&image, 0x1234);  // crc32c
+  EncodeInterval(&image, MdInterval({0}, {9}));
+  PutFixed32(&image, 1);       // tile count
+  PutFixed64(&image, 42);      // tile id
+  auto restored = DeserializeSuperTileMetas(image);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
 }
 
 TEST(SuperTileMetaTest, EmptyImageYieldsEmptyRegistry) {
