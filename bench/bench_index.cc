@@ -85,7 +85,6 @@ RunResult SetUpSparseObject(benchmark::State& state, bool enable_index,
   options.supertile_bytes = 256 << 10;
   options.cache.capacity_bytes = 1;  // measure fetches, not cache luck
   options.enable_index = enable_index;
-  options.index_pruning = enable_index;
   options.curve = curve;
   run.handle = benchutil::MakeDb(options);
   const MdInterval domain = benchutil::CubeDomainForMiB(kObjectMiB);
@@ -195,7 +194,6 @@ void RunFullScanWorkload(benchmark::State& state, bool enable_index,
     options.supertile_bytes = 256 << 10;
     options.cache.capacity_bytes = 1;
     options.enable_index = enable_index;
-    options.index_pruning = enable_index;
     benchutil::DbHandle handle = benchutil::MakeDb(options);
     const ObjectId id = benchutil::InsertObject(&handle, "dense", domain, 4);
     if (!handle.db->ExportObject(id).ok()) {

@@ -118,10 +118,12 @@ int main(int argc, char** argv) {
   {
     MemEnv env;
     {
+      // Two queued exports, the first one's intent and close: the second
+      // stays pending, so the close is a record rather than a truncate.
       auto journal = ExportJournal::Open(&env, "j");
       (void)(*journal)->LogPending(7);
-      (void)(*journal)->LogAppend(7, 42, /*medium=*/3, /*offset=*/1024,
-                                  /*size_bytes=*/4096);
+      (void)(*journal)->LogPending(8);
+      (void)(*journal)->LogIntent(7);
       (void)(*journal)->LogCommitted(7);
     }
     auto file = env.OpenFile("j");

@@ -124,6 +124,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # the repeat gives a lost race twenty chances to show.
   ./build-tsan/tests/heaven_db_test \
       --gtest_filter='*ConcurrentCreateCollection*' --gtest_repeat=20
+  # Aggregate caches only under a try-lock of the mutator lock and an
+  # unchanged snapshot version; twenty repeats race it against UpdateRegion.
+  ./build-tsan/tests/heaven_db_test \
+      --gtest_filter='*ConcurrentAggregateAndUpdate*' --gtest_repeat=20
 fi
 
 if [[ "$RUN_FAULTS" == 1 ]]; then

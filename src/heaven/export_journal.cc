@@ -5,42 +5,6 @@
 
 namespace heaven {
 
-namespace {
-
-std::string EncodeRecord(const ExportJournalRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.kind));
-  PutFixed64(&payload, record.object_id);
-  if (record.kind == ExportJournalRecord::Kind::kAppend) {
-    PutFixed64(&payload, record.supertile_id);
-    PutFixed32(&payload, record.medium);
-    PutFixed64(&payload, record.offset);
-    PutFixed64(&payload, record.size_bytes);
-  }
-  return payload;
-}
-
-Status DecodeRecord(std::string_view payload, ExportJournalRecord* record) {
-  Decoder dec(payload);
-  std::string kind_byte;
-  HEAVEN_RETURN_IF_ERROR(dec.GetRaw(1, &kind_byte));
-  const uint8_t kind = static_cast<uint8_t>(kind_byte[0]);
-  if (kind < 1 || kind > 3) {
-    return Status::Corruption("bad export journal record kind");
-  }
-  record->kind = static_cast<ExportJournalRecord::Kind>(kind);
-  HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&record->object_id));
-  if (record->kind == ExportJournalRecord::Kind::kAppend) {
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&record->supertile_id));
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&record->medium));
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&record->offset));
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&record->size_bytes));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 ExportJournal::ExportJournal(std::unique_ptr<File> file)
     : file_(std::move(file)) {}
 
@@ -53,6 +17,7 @@ Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
     HEAVEN_RETURN_IF_ERROR(file->ReadAt(0, size, &image));
   }
   std::unique_ptr<ExportJournal> journal(new ExportJournal(std::move(file)));
+  MutexLock lock(journal->mu_);
 
   // Scan intact frames; a torn/corrupt frame ends the journal (it is the
   // crash's own tail — by construction nothing after it ever mattered).
@@ -67,9 +32,16 @@ Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
     const std::string_view payload =
         std::string_view(image).substr(pos + 8, len);
     if (Crc32c(payload) != crc) break;  // corrupt frame
-    ExportJournalRecord record;
-    if (!DecodeRecord(payload, &record).ok()) break;
-    journal->recovered_.push_back(record);
+    // Bytes past the object id are ignored: the per-container records of
+    // older journals share kind 2 and replay as the open intent they imply.
+    Decoder dec(payload);
+    std::string kind;
+    uint64_t object_id = 0;
+    if (!dec.GetRaw(1, &kind).ok() || kind[0] < 1 || kind[0] > 3 ||
+        !dec.GetFixed64(&object_id).ok()) {
+      break;  // undecodable frame
+    }
+    journal->Apply(static_cast<Kind>(kind[0]), object_id);
     pos += 8 + len;
   }
   if (pos < image.size()) {
@@ -81,50 +53,77 @@ Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
   return journal;
 }
 
-Status ExportJournal::AppendRecord(const ExportJournalRecord& record) {
-  const std::string payload = EncodeRecord(record);
+bool ExportJournal::intent_open() const {
+  MutexLock lock(mu_);
+  return intent_open_;
+}
+
+std::set<ObjectId> ExportJournal::pending() const {
+  MutexLock lock(mu_);
+  return std::set<ObjectId>(pending_.begin(), pending_.end());
+}
+
+Status ExportJournal::Log(Kind kind, ObjectId object_id) {
+  std::string payload(1, static_cast<char>(kind));
+  PutFixed64(&payload, object_id);
   std::string frame;
   PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
   PutFixed32(&frame, Crc32c(payload));
   frame.append(payload);
-  MutexLock lock(mu_);
   HEAVEN_RETURN_IF_ERROR(file_->WriteAt(end_, frame));
   HEAVEN_RETURN_IF_ERROR(file_->Sync());
   end_ += frame.size();
+  Apply(kind, object_id);
   return Status::Ok();
 }
 
-Status ExportJournal::LogPending(ObjectId object_id) {
-  ExportJournalRecord record;
-  record.kind = ExportJournalRecord::Kind::kPending;
-  record.object_id = object_id;
-  return AppendRecord(record);
+void ExportJournal::Apply(Kind kind, ObjectId object_id) {
+  switch (kind) {
+    case Kind::kPending:
+      pending_.insert(object_id);
+      break;
+    case Kind::kIntent:
+      intent_open_ = true;
+      break;
+    case Kind::kCommitted: {
+      intent_open_ = false;
+      const auto it = pending_.find(object_id);
+      if (it != pending_.end()) pending_.erase(it);
+      break;
+    }
+  }
 }
 
-Status ExportJournal::LogAppend(ObjectId object_id, SuperTileId supertile_id,
-                                uint32_t medium, uint64_t offset,
-                                uint64_t size_bytes) {
-  ExportJournalRecord record;
-  record.kind = ExportJournalRecord::Kind::kAppend;
-  record.object_id = object_id;
-  record.supertile_id = supertile_id;
-  record.medium = medium;
-  record.offset = offset;
-  record.size_bytes = size_bytes;
-  return AppendRecord(record);
+Status ExportJournal::LogPending(ObjectId object_id) {
+  MutexLock lock(mu_);
+  return Log(Kind::kPending, object_id);
+}
+
+Status ExportJournal::LogIntent(ObjectId object_id) {
+  MutexLock lock(mu_);
+  return Log(Kind::kIntent, object_id);
 }
 
 Status ExportJournal::LogCommitted(ObjectId object_id) {
-  ExportJournalRecord record;
-  record.kind = ExportJournalRecord::Kind::kCommitted;
-  record.object_id = object_id;
-  return AppendRecord(record);
+  MutexLock lock(mu_);
+  const bool closes_pending = pending_.find(object_id) != pending_.end();
+  if (!intent_open_ && !closes_pending) return Status::Ok();
+  if (pending_.size() > (closes_pending ? 1u : 0u)) {
+    return Log(Kind::kCommitted, object_id);
+  }
+  // Nothing stays open: an empty log says so for good.
+  HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
+  end_ = 0;
+  Apply(Kind::kCommitted, object_id);
+  return Status::Ok();
 }
 
 Status ExportJournal::Reset() {
   MutexLock lock(mu_);
   HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
   end_ = 0;
+  intent_open_ = false;
+  pending_.clear();
   return Status::Ok();
 }
 

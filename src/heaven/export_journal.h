@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
-#include <vector>
 
 #include "array/mdd.h"
 #include "common/env.h"
@@ -13,70 +13,68 @@
 
 namespace heaven {
 
-/// One record of the decoupled-export journal.
-struct ExportJournalRecord {
-  enum class Kind : uint8_t {
-    kPending = 1,    // object handed to the TCT, export not finished
-    kAppend = 2,     // one container landed on tape (extent recorded)
-    kCommitted = 3,  // the object's catalog transaction committed
-  };
-  Kind kind = Kind::kPending;
-  ObjectId object_id = 0;
-  // kAppend only:
-  SuperTileId supertile_id = 0;
-  uint32_t medium = 0;
-  uint64_t offset = 0;
-  uint64_t size_bytes = 0;
-};
-
-/// Write-ahead journal of the TCT's decoupled exports, making them
-/// crash-safe: every tape append is recorded (with its extent) before the
-/// catalog transaction commits, so a kill mid-export leaves enough
-/// information to roll orphaned tape extents back and re-enqueue the
-/// unfinished objects on reopen. Records are CRC-framed like WAL records;
-/// a torn tail (the crash interrupting the journal itself) is detected by
+/// Intent log of every tape-writing mutator, making tape writes
+/// crash-safe. It holds what is open: the intent of a mutation that is
+/// appending to tape (durable before its first append, closed after its
+/// catalog commit) and the TCT's queued exports. A kill mid-mutation
+/// leaves an open intent (or an unfinished queued export), which tells the
+/// reopen to roll the orphaned tape tails back and re-enqueue the
+/// unfinished objects. A close that leaves nothing open truncates the log,
+/// so it stays bounded. Records are CRC-framed like WAL records; a torn
+/// tail (the crash interrupting the journal itself) is detected by
 /// checksum and discarded.
 ///
 /// Frame layout: [u32 payload_len][u32 crc32c(payload)][payload], where the
-/// payload is one encoded ExportJournalRecord.
+/// payload is one record: [u8 kind][u64 object_id].
 class ExportJournal {
  public:
-  /// Opens (creating if absent) the journal at `path` and scans every
-  /// intact record into recovered(); the scan stops at the first torn or
-  /// corrupt frame and the file is truncated to the valid prefix.
+  /// Opens (creating if absent) the journal at `path` and replays every
+  /// intact record into what it holds open; the scan stops at the first
+  /// torn or corrupt frame and the file is truncated to the valid prefix.
   static Result<std::unique_ptr<ExportJournal>> Open(Env* env,
                                                      const std::string& path);
 
   ExportJournal(const ExportJournal&) = delete;
   ExportJournal& operator=(const ExportJournal&) = delete;
 
-  /// Records read back at Open (empty after a clean shutdown).
-  const std::vector<ExportJournalRecord>& recovered() const {
-    return recovered_;
-  }
+  /// Whether a mutation's intent is open: its tape appends may be orphans.
+  bool intent_open() const EXCLUDES(mu_);
+  /// Objects with a queued export not yet closed.
+  std::set<ObjectId> pending() const EXCLUDES(mu_);
 
-  Status LogPending(ObjectId object_id);
-  Status LogAppend(ObjectId object_id, SuperTileId supertile_id,
-                   uint32_t medium, uint64_t offset, uint64_t size_bytes);
-  Status LogCommitted(ObjectId object_id);
+  /// `object_id` joined the TCT queue.
+  Status LogPending(ObjectId object_id) EXCLUDES(mu_);
+  /// A mutation exporting `object_id` (0: none) is about to append to tape.
+  Status LogIntent(ObjectId object_id) EXCLUDES(mu_);
+  /// Closes the open intent and one queued export of `object_id`. Closing
+  /// nothing writes nothing.
+  Status LogCommitted(ObjectId object_id) EXCLUDES(mu_);
 
-  /// Truncates the journal; called once every queued export has committed
-  /// (the records have served their purpose) and after recovery replays.
-  Status Reset();
+  /// Truncates the journal and forgets what it held open; recovery calls
+  /// it once it has acted on the replayed state.
+  Status Reset() EXCLUDES(mu_);
 
  private:
+  enum class Kind : uint8_t {
+    kPending = 1,    // object handed to the TCT, export not finished
+    kIntent = 2,     // a mutation is about to append to tape
+    kCommitted = 3,  // that mutation (and the object's queued export) closed
+  };
+
   explicit ExportJournal(std::unique_ptr<File> file);
 
-  Status AppendRecord(const ExportJournalRecord& record) EXCLUDES(mu_);
+  /// Makes the record durable, then applies it.
+  Status Log(Kind kind, ObjectId object_id) REQUIRES(mu_);
+  /// The record's effect on what the journal holds open.
+  void Apply(Kind kind, ObjectId object_id) REQUIRES(mu_);
 
-  Mutex mu_;  // analyze: leaf-lock
+  mutable Mutex mu_;  // analyze: leaf-lock
   /// Written under mu_ once the journal is shared; the Open-time replay
   /// and truncate happen before any other thread can see the object.
   std::unique_ptr<File> file_;  // analyze: unguarded(pre-publish in Open)
   uint64_t end_ GUARDED_BY(mu_) = 0;  // append position
-  /// Filled during Open, read-only afterwards (drained by the recovery
-  /// path before the journal goes live).
-  std::vector<ExportJournalRecord> recovered_;  // analyze: unguarded(Open-only)
+  bool intent_open_ GUARDED_BY(mu_) = false;
+  std::multiset<ObjectId> pending_ GUARDED_BY(mu_);
 };
 
 }  // namespace heaven

@@ -141,12 +141,10 @@ Status HeavenDb::Init() {
   }
   // One thread is the caller alone: a zero-worker pool runs tasks inline.
   pool_ = std::make_unique<ThreadPool>(num_threads > 1 ? num_threads : 0);
-  if (options_.decoupled_export) {
-    HEAVEN_ASSIGN_OR_RETURN(journal_,
-                            ExportJournal::Open(env_, dir_ + "/export.journal"));
-    HEAVEN_RETURN_IF_ERROR(RecoverExports());
-    tct_thread_ = std::thread([this] { TctWorker(); });
-  }
+  HEAVEN_ASSIGN_OR_RETURN(journal_,
+                          ExportJournal::Open(env_, dir_ + "/export.journal"));
+  HEAVEN_RETURN_IF_ERROR(RecoverExports());
+  tct_thread_ = std::thread([this] { TctWorker(); });
   RegisterStandardGauges();
   if (options_.metrics_sampler_interval_s > 0.0) {
     metrics_.StartSampler(options_.metrics_sampler_interval_s);
@@ -332,65 +330,38 @@ void HeavenDb::RegisterStandardGauges() {
 }
 
 Status HeavenDb::RecoverExports() {
-  // Runs during Init (no concurrency yet), but the registry reads below
+  // Runs during Init, before the TCT starts, but the registry reads below
   // still take the lock so the capability discipline holds everywhere.
   MutexLock lock(db_mu_);
-  const std::vector<ExportJournalRecord>& records = journal_->recovered();
-  if (records.empty()) return Status::Ok();
-  std::set<ObjectId> pending;
-  std::set<ObjectId> committed;
-  bool orphaned_appends = false;
-  for (const ExportJournalRecord& record : records) {
-    switch (record.kind) {
-      case ExportJournalRecord::Kind::kPending:
-        pending.insert(record.object_id);
-        break;
-      case ExportJournalRecord::Kind::kCommitted:
-        committed.insert(record.object_id);
-        break;
-      case ExportJournalRecord::Kind::kAppend:
-        // An append whose super-tile never made it into the committed
-        // registry is an orphaned tape extent from an interrupted export.
-        if (registry_.Find(record.supertile_id) == nullptr) {
-          orphaned_appends = true;
-        }
-        break;
-    }
+  const std::set<ObjectId> unfinished = journal_->pending();
+  if (!journal_->intent_open() && unfinished.empty()) return Status::Ok();
+  // A crash interrupted a tape-writing mutation or a queued export.
+  // db_mu_ serialises every tape writer, so the crash's appends (whole
+  // orphaned containers and any torn write) sit above every
+  // registry-referenced extent on their media, and a reclaim that
+  // committed left no live extent on its source medium. Truncating each
+  // medium back to its live end removes exactly the garbage the crash left.
+  std::map<MediumId, uint64_t> live_end;
+  registry_.ForEach([&](SuperTileId, const SuperTileMeta& meta) {
+    live_end[meta.medium] =
+        std::max(live_end[meta.medium], meta.offset + meta.size_bytes);
+  });
+  for (MediumId m = 0; m < library_->num_media(); ++m) {
+    const auto it = live_end.find(m);
+    HEAVEN_RETURN_IF_ERROR(library_->TruncateMediumForRecovery(
+        m, it == live_end.end() ? 0 : it->second));
   }
-  std::vector<ObjectId> unfinished;
-  for (ObjectId object_id : pending) {
-    if (committed.count(object_id) == 0) unfinished.push_back(object_id);
-  }
-
-  if (orphaned_appends || !unfinished.empty()) {
-    // A crash interrupted an export. Its tape appends — journaled orphans
-    // and any torn, never-journaled write — sit above every
-    // registry-referenced extent on their media (tape is append-only and
-    // the TCT exports one object at a time), so truncating each medium
-    // back to its live end removes exactly the garbage the crash left.
-    std::map<MediumId, uint64_t> live_end;
-    registry_.ForEach([&](SuperTileId, const SuperTileMeta& meta) {
-      live_end[meta.medium] =
-          std::max(live_end[meta.medium], meta.offset + meta.size_bytes);
-    });
-    for (MediumId m = 0; m < library_->num_media(); ++m) {
-      const auto it = live_end.find(m);
-      HEAVEN_RETURN_IF_ERROR(library_->TruncateMediumForRecovery(
-          m, it == live_end.end() ? 0 : it->second));
-    }
-    HEAVEN_LOG(Warning) << "export journal recovery: rolled back interrupted "
-                           "export; re-enqueueing "
-                        << unfinished.size() << " object(s)";
-  }
+  HEAVEN_LOG(Warning) << "export journal recovery: rolled back interrupted "
+                         "tape writes; re-enqueueing "
+                      << unfinished.size() << " object(s)";
 
   // The old journal has served its purpose; restart it with just the
   // still-unfinished objects and hand those back to the TCT.
   HEAVEN_RETURN_IF_ERROR(journal_->Reset());
   for (ObjectId object_id : unfinished) {
     if (!engine_->catalog()->GetObject(object_id).ok()) continue;  // deleted
-    HEAVEN_RETURN_IF_ERROR(journal_->LogPending(object_id));
-    MutexLock lock(tct_mu_);
-    tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
+    MutexLock tct_lock(tct_mu_);
+    HEAVEN_RETURN_IF_ERROR(EnqueueExport(object_id));
   }
   return Status::Ok();
 }
@@ -538,6 +509,9 @@ Status HeavenDb::RunMutation(const char* label,
       client_clock_.Advance(m.client_seconds);
       if (m.after_publish) status = m.after_publish();
     }
+    if (status.ok() && (m.intent_open || m.exported != 0)) {
+      status = journal_->LogCommitted(m.exported);
+    }
   }
   active_mutators_.fetch_sub(1, std::memory_order_acq_rel);
   return status;
@@ -674,20 +648,23 @@ Status HeavenDb::RunMigrationPolicy() {
     }
   }
   std::sort(candidates.begin(), candidates.end());
+  // A queued export frees no disk bytes before the TCT runs it, so the
+  // bytes queued in this pass count as already gone (twice, should the
+  // TCT have run it meanwhile: the pass then stops early, never late).
+  uint64_t queued_bytes = 0;
   for (ObjectId object_id : candidates) {
+    if (engine_->blobs()->TotalBytes() <= low_watermark + queued_bytes) break;
     if (options_.decoupled_export) {
-      // A queued export frees no disk bytes before the TCT runs it, so the
-      // volume cannot fall below the watermark here: every candidate is
-      // queued.
-      MutexLock lock(tct_mu_);
-      if (journal_ != nullptr) {
-        HEAVEN_RETURN_IF_ERROR(journal_->LogPending(object_id));
+      for (const TileDescriptor& tile :
+           engine_->catalog()->ListTiles(object_id)) {
+        if (tile.location == TileLocation::kDisk) {
+          queued_bytes += tile.size_bytes;
+        }
       }
-      tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
-      tct_cv_.NotifyOne();
+      MutexLock lock(tct_mu_);
+      HEAVEN_RETURN_IF_ERROR(EnqueueExport(object_id));
       continue;
     }
-    if (engine_->blobs()->TotalBytes() <= low_watermark) break;
     Status status = ExportObjectSync(object_id);
     // An object deleted since the candidates were listed is skipped.
     if (status.IsNotFound() && !engine_->catalog()->GetObject(object_id).ok()) {
@@ -707,17 +684,19 @@ Status HeavenDb::ExportObject(ObjectId object_id) {
     // A failed queued export must not pass silently: while the sticky
     // error stands, new exports are refused with it (see TctLastError).
     if (!tct_last_error_.ok()) return tct_last_error_;
-    if (journal_ != nullptr) {
-      HEAVEN_RETURN_IF_ERROR(journal_->LogPending(object_id));
-    }
-    tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
-    tct_cv_.NotifyOne();
-    return Status::Ok();
+    return EnqueueExport(object_id);
   }
   const double tape_before = library_->ElapsedSeconds();
   Status status = ExportObjectSync(object_id);
   client_clock_.Advance(library_->ElapsedSeconds() - tape_before);
   return status;
+}
+
+Status HeavenDb::EnqueueExport(ObjectId object_id) {
+  HEAVEN_RETURN_IF_ERROR(journal_->LogPending(object_id));
+  tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
+  tct_cv_.NotifyOne();
+  return Status::Ok();
 }
 
 Status HeavenDb::ExportObjectSync(ObjectId object_id) {
@@ -731,11 +710,7 @@ Status HeavenDb::StageExport(Mutation& m, ObjectId object_id) {
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
   m.touched.push_back(object_id);
-  if (journal_ != nullptr) {
-    m.after_publish = [this, object_id] {
-      return journal_->LogCommitted(object_id);
-    };
-  }
+  m.exported = object_id;
   std::vector<TileDescriptor> disk_tiles;
   for (TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
     if (tile.location == TileLocation::kDisk) {
@@ -816,9 +791,9 @@ Status HeavenDb::StageExport(Mutation& m, ObjectId object_id) {
     sts.reserve(n);
     for (size_t k = 0; k < n; ++k) {
       HEAVEN_ASSIGN_OR_RETURN(
-          SuperTile st, BuildSuperTile(object_id, object,
-                                       groups[plan.write_order[begin + k]],
-                                       by_id));
+          SuperTile st,
+          BuildSuperTile(object, groups[plan.write_order[begin + k]].tiles,
+                         by_id));
       sts.push_back(std::move(st));
     }
     std::vector<std::string> containers(n);
@@ -827,20 +802,19 @@ Status HeavenDb::StageExport(Mutation& m, ObjectId object_id) {
     });
     for (size_t k = 0; k < n; ++k) {
       const size_t idx = plan.write_order[begin + k];
-      HEAVEN_RETURN_IF_ERROR(AppendAndRegister(sts[k], containers[k],
-                                               object_id, groups[idx],
-                                               plan.medium[idx], by_id, m));
+      HEAVEN_RETURN_IF_ERROR(AppendAndRegister(m, sts[k], containers[k],
+                                               {plan.medium[idx]},
+                                               options_.enable_index, by_id));
     }
   }
   return Status::Ok();
 }
 
 Result<SuperTile> HeavenDb::BuildSuperTile(
-    ObjectId object_id, const ObjectDescriptor& object,
-    const SuperTileGroup& group,
+    const ObjectDescriptor& object, const std::vector<TileId>& tiles,
     const std::map<TileId, const TileDescriptor*>& by_id) {
-  SuperTile st(next_supertile_id_++, object_id, object.cell_type);
-  for (TileId tile_id : group.tiles) {
+  SuperTile st(next_supertile_id_++, object.object_id, object.cell_type);
+  for (TileId tile_id : tiles) {
     const TileDescriptor* descriptor = by_id.at(tile_id);
     HEAVEN_ASSIGN_OR_RETURN(std::string payload,
                             engine_->blobs()->Get(descriptor->blob_id));
@@ -851,25 +825,41 @@ Result<SuperTile> HeavenDb::BuildSuperTile(
   return st;
 }
 
+Status HeavenDb::AppendToTape(Mutation& m, const std::vector<MediumId>& media,
+                              std::string_view container,
+                              SuperTileMeta* meta) {
+  if (!m.intent_open) {
+    HEAVEN_RETURN_IF_ERROR(journal_->LogIntent(m.exported));
+    m.intent_open = true;
+  }
+  Result<uint64_t> offset = Status::InvalidArgument("no medium to append to");
+  for (MediumId medium : media) {
+    offset = library_->Append(medium, container);
+    if (offset.ok()) {
+      meta->medium = medium;
+      meta->offset = offset.value();
+      return Status::Ok();
+    }
+  }
+  return offset.status();
+}
+
 Status HeavenDb::AppendAndRegister(
-    const SuperTile& st, const std::string& container, ObjectId object_id,
-    const SuperTileGroup& group, MediumId medium,
-    const std::map<TileId, const TileDescriptor*>& by_id, Mutation& m) {
-  HEAVEN_ASSIGN_OR_RETURN(uint64_t offset,
-                          library_->Append(medium, container));
+    Mutation& m, const SuperTile& st, const std::string& container,
+    const std::vector<MediumId>& media, bool with_index,
+    const std::map<TileId, const TileDescriptor*>& by_id) {
+  SuperTileMeta meta;
+  HEAVEN_RETURN_IF_ERROR(AppendToTape(m, media, container, &meta));
   stats_.Record(Ticker::kSuperTilesWritten);
   stats_.Record(Ticker::kSuperTileBytesWritten, container.size());
 
-  SuperTileMeta meta;
   meta.id = st.id();
-  meta.object_id = object_id;
-  meta.medium = medium;
-  meta.offset = offset;
+  meta.object_id = st.object_id();
   meta.size_bytes = container.size();
   meta.crc32c = Crc32c(container);
   HEAVEN_ASSIGN_OR_RETURN(meta.hull, st.Hull());
-  meta.tile_ids = group.tiles;
-  if (options_.enable_index) {
+  meta.tile_ids = st.tile_ids();
+  if (with_index) {
     // Built once at export time while the cells are in memory anyway;
     // immutable afterwards, so every registry/snapshot copy of the meta
     // shares the same instance and readers consult it lock-free.
@@ -878,17 +868,11 @@ Status HeavenDb::AppendAndRegister(
   }
   registry_.InsertOrAssign(meta.id, meta);
   m.registry_changed = true;
-  if (journal_ != nullptr) {
-    // Journal the landed extent before the catalog commits so a crash
-    // in between leaves enough to roll the orphan back on reopen.
-    HEAVEN_RETURN_IF_ERROR(journal_->LogAppend(
-        object_id, meta.id, meta.medium, meta.offset, meta.size_bytes));
-  }
 
-  for (TileId tile_id : group.tiles) {
+  for (TileId tile_id : meta.tile_ids) {
     const TileDescriptor* descriptor = by_id.at(tile_id);
     m.txn->DeleteBlob(descriptor->blob_id);
-    StageTileMove(m.txn, object_id, *descriptor, 0, meta.id);
+    StageTileMove(m.txn, meta.object_id, *descriptor, 0, meta.id);
   }
   return Status::Ok();
 }
@@ -900,47 +884,27 @@ Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
     HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                             engine_->catalog()->GetObject(object_id));
     m.touched.push_back(object_id);
+    m.exported = object_id;
+    const uint32_t num_media = library_->num_media();
     MediumId next_medium = 0;
     for (const TileDescriptor& descriptor :
          engine_->catalog()->ListTiles(object_id)) {
       if (descriptor.location != TileLocation::kDisk) continue;
-      HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                              engine_->blobs()->Get(descriptor.blob_id));
-      // Each tile becomes its own (degenerate) super-tile container,
-      // written wherever the round-robin lands — the naive pre-HEAVEN
-      // layout.
-      SuperTile st(next_supertile_id_++, object_id, object.cell_type);
-      HEAVEN_RETURN_IF_ERROR(st.AddTile(
-          descriptor.tile_id,
-          Tile(descriptor.domain, object.cell_type, std::move(payload))));
-      const std::string container = st.Serialize(options_.compression);
-
-      MediumId medium = next_medium;
-      Result<uint64_t> offset = library_->Append(medium, container);
-      for (uint32_t tries = 1; !offset.ok() && tries < library_->num_media();
-           ++tries) {
-        medium = (next_medium + tries) % library_->num_media();
-        offset = library_->Append(medium, container);
+      // Each tile becomes its own (degenerate, unindexed) super-tile
+      // container, written wherever the round-robin lands — the naive
+      // pre-HEAVEN layout.
+      const std::map<TileId, const TileDescriptor*> by_id = {
+          {descriptor.tile_id, &descriptor}};
+      HEAVEN_ASSIGN_OR_RETURN(
+          SuperTile st, BuildSuperTile(object, {descriptor.tile_id}, by_id));
+      std::vector<MediumId> media;
+      for (uint32_t k = 0; k < num_media; ++k) {
+        media.push_back((next_medium + k) % num_media);
       }
-      if (!offset.ok()) return offset.status();
-      next_medium = (medium + 1) % library_->num_media();
-      stats_.Record(Ticker::kSuperTilesWritten);
-      stats_.Record(Ticker::kSuperTileBytesWritten, container.size());
-
-      SuperTileMeta meta;
-      meta.id = st.id();
-      meta.object_id = object_id;
-      meta.medium = medium;
-      meta.offset = offset.value();
-      meta.size_bytes = container.size();
-      meta.crc32c = Crc32c(container);
-      meta.hull = descriptor.domain;
-      meta.tile_ids = {descriptor.tile_id};
-      registry_.InsertOrAssign(meta.id, meta);
-      m.registry_changed = true;
-
-      m.txn->DeleteBlob(descriptor.blob_id);
-      StageTileMove(m.txn, object_id, descriptor, 0, meta.id);
+      HEAVEN_RETURN_IF_ERROR(AppendAndRegister(
+          m, st, st.Serialize(options_.compression), media,
+          /*with_index=*/false, by_id));
+      next_medium = (registry_.Find(st.id())->medium + 1) % num_media;
     }
     m.client_seconds = library_->ElapsedSeconds() - tape_before;
     return Status::Ok();
@@ -948,7 +912,6 @@ Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
 }
 
 Status HeavenDb::DrainExports() {
-  if (!options_.decoupled_export) return Status::Ok();
   MutexLock lock(tct_mu_);
   while (!tct_queue_.empty() || tct_busy_) tct_cv_.Wait(lock);
   return tct_last_error_;
@@ -987,12 +950,6 @@ void HeavenDb::TctWorker() {
       // Sticky: keep the *first* failure (later ones are usually fallout).
       if (!status.ok() && tct_last_error_.ok()) tct_last_error_ = status;
       tct_busy_ = false;
-      if (journal_ != nullptr && tct_queue_.empty() && tct_last_error_.ok()) {
-        // Every queued export committed — the journal has served its
-        // purpose; restart it so it cannot grow without bound.
-        Status reset = journal_->Reset();
-        if (!reset.ok()) tct_last_error_ = reset;
-      }
     }
     tct_cv_.NotifyAll();
   }
@@ -1449,7 +1406,7 @@ void HeavenDb::MaybePrefetch(const DbSnapshot& snap, MediumId medium,
   const std::vector<SuperTileId> targets =
       ChoosePrefetchTargets(snap.registry, medium, last_end_offset,
                             options_.prefetch_depth, cached, &stats_,
-                            options_.index_pruning);
+                            options_.enable_index);
   for (SuperTileId id : targets) {
     const SuperTileMeta& meta = *snap.FindSuperTile(id);
     if (controller_ != nullptr && controller_->enabled() &&
@@ -1490,7 +1447,7 @@ void HeavenDb::MaybePrefetch(const DbSnapshot& snap, MediumId medium,
 void HeavenDb::PruneTilesWithIndex(const DbSnapshot& snap,
                                    const MdInterval& region,
                                    std::vector<TileDescriptor>* needed) {
-  if (!options_.index_pruning) return;  // exact legacy read path
+  if (!options_.enable_index) return;  // exact legacy read path
   // Sound because every read materializes into a zero-initialized result:
   // a tertiary tile whose overlap with `region` provably holds no nonzero
   // cell contributes nothing, so it can be dropped before the fetch. When
@@ -1786,9 +1743,16 @@ Result<double> HeavenDb::Aggregate(ObjectId object_id, Condenser condenser,
                                 ReadBox(snap, ctx, object_id, region));
         HEAVEN_ASSIGN_OR_RETURN(double value,
                                 CondenseRegion(data, condenser, region));
-        if (options_.enable_precomputed) {
-          precomputed_->Insert(object_id, condenser, region, value);
-          HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
+        // Cache only while no mutator runs and none published since the
+        // pin: every invalidating mutation publishes, so the value is
+        // still current. A read never waits on a mutator; it skips the
+        // cache instead.
+        if (options_.enable_precomputed && db_mu_.TryLock()) {
+          MutexLock lock(db_mu_, kAdoptLock);
+          if (snapshot_.version() == snap.version) {
+            precomputed_->Insert(object_id, condenser, region, value);
+            HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
+          }
         }
         stats_.RecordHistogram(HistogramKind::kQuerySeconds,
                                query.ClientSeconds());
@@ -1840,7 +1804,7 @@ Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
                 ? snap.FindSuperTile(tile.super_tile)
                 : nullptr;
         const TileIndexEntry* entry =
-            options_.index_pruning && meta != nullptr && meta->index != nullptr
+            options_.enable_index && meta != nullptr && meta->index != nullptr
                 ? meta->index->Find(tile.tile_id)
                 : nullptr;
         if (entry == nullptr) {
@@ -2120,18 +2084,17 @@ Result<uint64_t> HeavenDb::ReclaimMedium(MediumId medium) {
             return Status::ResourceExhausted(
                 "no space to relocate super-tiles during reclamation");
           }
-          HEAVEN_ASSIGN_OR_RETURN(meta.offset,
-                                  library_->Append(target, container));
-          meta.medium = target;
+          HEAVEN_RETURN_IF_ERROR(AppendToTape(m, {target}, container, &meta));
           registry_.InsertOrAssign(meta.id, meta);
           m.registry_changed = true;
         }
         // Tile descriptors did not change — only registry extents moved —
         // so every SnapshotObject is reused. The erase follows the
-        // publish and cannot undo the committed moves; readers still
-        // pinning the old version may read reused extents, which the CRC
-        // check turns into a retried conflict instead of silent
-        // corruption.
+        // publish and cannot undo the committed moves (a crash before it
+        // leaves the intent open, and recovery erases the medium, which
+        // holds no live extent any more); readers still pinning the old
+        // version may read reused extents, which the CRC check turns into
+        // a retried conflict instead of silent corruption.
         m.after_publish = [this, medium] {
           return library_->EraseMedium(medium);
         };

@@ -73,13 +73,10 @@ struct HeavenOptions {
   CurveKind curve = CurveKind::kZOrder;
 
   /// Build the hierarchical bitmap index over each super-tile at export
-  /// time (persisted with the registry). Off reproduces the pre-index
-  /// registry image bit for bit.
+  /// time (persisted with the registry) and prune reads, prefetch and
+  /// quantifiers with it. Off reproduces the pre-index registry image and
+  /// read path bit for bit.
   bool enable_index = true;
-  /// Consult the index on the read path to drop provably irrelevant
-  /// super-tiles and tiles before fetch/decode. Off takes the exact
-  /// legacy read path — bit-identical clocks, tickers and traces.
-  bool index_pruning = true;
 
   SchedulePolicy schedule_policy = SchedulePolicy::kMediaElevator;
 
@@ -123,8 +120,9 @@ struct HeavenOptions {
   /// disk-resident tile volume exceeds the high watermark after an insert,
   /// whole objects are migrated to tape — oldest first — until the volume
   /// falls below the low watermark. 0 disables the policy. Migration runs
-  /// on the TCT when decoupled_export is set, otherwise inline (but never
-  /// on the client clock: it is background work either way).
+  /// on the TCT when decoupled_export is set (queued bytes count as
+  /// freed), otherwise inline (but never on the client clock: it is
+  /// background work either way).
   uint64_t migrate_high_watermark_bytes = 0;
   uint64_t migrate_low_watermark_bytes = 0;
 
@@ -367,7 +365,7 @@ class HeavenDb {
   /// component exists.
   void RegisterStandardGauges();
   Status LoadRegistry();
-  Status PersistPrecomputed();
+  Status PersistPrecomputed() REQUIRES(db_mu_);
   /// Per-object curve tags, persisted as their own catalog section so the
   /// object-descriptor encoding stays untouched.
   Status LoadCurves();
@@ -393,15 +391,21 @@ class HeavenDb {
     std::vector<ObjectId> touched;
     /// Charged to the client clock once the mutation is published.
     double client_seconds = 0.0;
-    /// Runs after the publish, still under db_mu_ (journal commit, medium
+    /// Runs after the publish, still under db_mu_ (the reclaim's medium
     /// erase); its error is the mutator's.
     std::function<Status()> after_publish;
+    /// The object this mutation exports (0: none); its journal close also
+    /// ends the object's queued TCT export.
+    ObjectId exported = 0;
+    /// Set by the first AppendToTape; RunMutation closes the intent.
+    bool intent_open = false;
   };
 
   /// The wrapper every mutator runs in: takes db_mu_, counts the mutator
   /// for RunQuery's conflict-retry gate, opens one transaction and runs
   /// `body`. On success it stages the dirty catalog sections, commits,
-  /// publishes once, charges the client clock and runs `after_publish`.
+  /// publishes once, charges the client clock, runs `after_publish` and
+  /// closes the mutation's journal intent (and queued export), if any.
   /// On any error that the catalog did not apply, registry_ and curves_
   /// are restored from the last published snapshot — the live state when
   /// the body began — so a failed mutator leaves memory untouched. The
@@ -422,8 +426,11 @@ class HeavenDb {
   /// Synchronous export for the client path, the TCT and the migration
   /// policy, as one mutation: a failed export leaves neither registry
   /// entries nor an overview behind (its tape extents become dead data,
-  /// as after a delete); a committed one is marked in the journal.
+  /// as after a delete); a committed one is closed in the journal.
   Status ExportObjectSync(ObjectId object_id) EXCLUDES(db_mu_);
+
+  /// Journals `object_id` as a pending export and hands it to the TCT.
+  Status EnqueueExport(ObjectId object_id) REQUIRES(tct_mu_);
 
   /// Export body: partitions, clusters, writes and registers the object's
   /// disk tiles, staging the tile moves (and the overview) on `m`.
@@ -437,23 +444,31 @@ class HeavenDb {
                           const std::vector<TileDescriptor>& tiles,
                           const MddArray* patch) REQUIRES(db_mu_);
 
-  /// Builds one super-tile from the group's disk tiles (export step 5).
+  /// Builds one super-tile of `object` from its disk tiles `tiles`.
   Result<SuperTile> BuildSuperTile(
-      ObjectId object_id, const ObjectDescriptor& object,
-      const SuperTileGroup& group,
+      const ObjectDescriptor& object, const std::vector<TileId>& tiles,
       const std::map<TileId, const TileDescriptor*>& by_id)
       REQUIRES(db_mu_);
 
-  /// Appends the serialized container to tape, registers the super-tile
-  /// (journaling the landed extent) and stages the tile moves on `m`.
-  Status AppendAndRegister(
-      const SuperTile& st, const std::string& container, ObjectId object_id,
-      const SuperTileGroup& group, MediumId medium,
-      const std::map<TileId, const TileDescriptor*>& by_id, Mutation& m)
+  /// The one tape write of every mutator: makes the mutation's intent
+  /// durable in the journal before its first append, then appends
+  /// `container` to the first of `media` that takes it, into `meta`.
+  Status AppendToTape(Mutation& m, const std::vector<MediumId>& media,
+                      std::string_view container, SuperTileMeta* meta)
       REQUIRES(db_mu_);
 
-  /// Replays the export journal on reopen: rolls orphaned (uncommitted)
-  /// tape extents back and re-enqueues unfinished objects for the TCT.
+  /// Appends the serialized container through AppendToTape, registers the
+  /// super-tile (with its bitmap index when `with_index`) and stages the
+  /// tile moves on `m`.
+  Status AppendAndRegister(
+      Mutation& m, const SuperTile& st, const std::string& container,
+      const std::vector<MediumId>& media, bool with_index,
+      const std::map<TileId, const TileDescriptor*>& by_id)
+      REQUIRES(db_mu_);
+
+  /// The one recovery pass, run by Init: an open intent or unfinished
+  /// queued export in the journal truncates every medium to its highest
+  /// registry-referenced extent; unfinished exports are re-enqueued.
   Status RecoverExports();
 
   /// Enforces the migration watermarks (see HeavenOptions); called by
@@ -560,7 +575,7 @@ class HeavenDb {
 
   /// Drops tertiary tiles from `needed` whose bitmap index proves the
   /// overlap with `region` entirely zero (sound: query results are
-  /// zero-initialized). No-op when options.index_pruning is off or the
+  /// zero-initialized). No-op when options.enable_index is off or the
   /// super-tile carries no index. Records the index.* tickers.
   void PruneTilesWithIndex(const DbSnapshot& snap, const MdInterval& region,
                            std::vector<TileDescriptor>* needed);
@@ -675,9 +690,8 @@ class HeavenDb {
   // analyze: unguarded(fixed at Open)
   std::unique_ptr<AdmissionController> controller_;
   std::unique_ptr<CircuitBreaker> breaker_;  // analyze: unguarded(fixed at Open)
-  /// Crash-safety journal of decoupled exports (null unless
-  /// options_.decoupled_export). Log calls for queue membership happen
-  /// under tct_mu_ so the journal and the queue stay consistent.
+  /// Intent log of every tape write (logged under db_mu_) and of the TCT
+  /// queue (under tct_mu_, so the journal and the queue stay consistent).
   std::unique_ptr<ExportJournal> journal_;  // analyze: unguarded(Open-only)
   /// CPU worker pool; zero workers (tasks run inline) when
   /// options_.num_threads resolves to 1. Pool tasks never acquire db_mu_:
@@ -687,9 +701,10 @@ class HeavenDb {
   std::unique_ptr<ThreadPool> pool_;  // analyze: unguarded(fixed at Open)
 
   /// Top-level mutator lock, taken only by RunMutation: mutators hold it
-  /// one at a time; query paths do NOT take it at all — they run against
-  /// a pinned DbSnapshot, and every component they touch (blob store,
-  /// tape library, cache, clocks, statistics) is internally locked. Not
+  /// one at a time; query paths never wait for it (Aggregate try-locks it
+  /// to cache a result) — they run against a pinned DbSnapshot, and every
+  /// component they touch (blob store, tape library, cache, clocks,
+  /// statistics) is internally locked. Not
   /// recursive: public mutators are EXCLUDES(db_mu_) and nested work
   /// calls REQUIRES(db_mu_) Stage… bodies instead.
   /// The root of the lock order: HeavenDb's own locks below declare

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -131,23 +133,48 @@ TEST(ExportJournalTest, RecordsSurviveReopen) {
   {
     auto journal = ExportJournal::Open(&env, "/j");
     ASSERT_TRUE(journal.ok());
-    EXPECT_TRUE((*journal)->recovered().empty());
+    EXPECT_FALSE((*journal)->intent_open());
+    EXPECT_TRUE((*journal)->pending().empty());
     ASSERT_TRUE((*journal)->LogPending(7).ok());
-    ASSERT_TRUE((*journal)->LogAppend(7, 42, 3, 128, 999).ok());
+    ASSERT_TRUE((*journal)->LogIntent(7).ok());
+    ASSERT_TRUE((*journal)->LogPending(8).ok());
+    // Object 8 stays queued, so the close is a record, not a truncate.
     ASSERT_TRUE((*journal)->LogCommitted(7).ok());
+    ASSERT_TRUE((*journal)->LogIntent(0).ok());
   }
   auto journal = ExportJournal::Open(&env, "/j");
   ASSERT_TRUE(journal.ok());
-  const auto& records = (*journal)->recovered();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].kind, ExportJournalRecord::Kind::kPending);
-  EXPECT_EQ(records[0].object_id, 7u);
-  EXPECT_EQ(records[1].kind, ExportJournalRecord::Kind::kAppend);
-  EXPECT_EQ(records[1].supertile_id, 42u);
-  EXPECT_EQ(records[1].medium, 3u);
-  EXPECT_EQ(records[1].offset, 128u);
-  EXPECT_EQ(records[1].size_bytes, 999u);
-  EXPECT_EQ(records[2].kind, ExportJournalRecord::Kind::kCommitted);
+  EXPECT_TRUE((*journal)->intent_open());
+  EXPECT_EQ((*journal)->pending(), std::set<ObjectId>({8}));
+}
+
+TEST(ExportJournalTest, ClosingTheLastOpenEntryTruncates) {
+  MemEnv env;
+  auto journal = ExportJournal::Open(&env, "/j");
+  ASSERT_TRUE(journal.ok());
+  auto size = [&] { return env.GetFileSize("/j").value(); };
+  // Closing nothing writes nothing.
+  ASSERT_TRUE((*journal)->LogCommitted(0).ok());
+  EXPECT_EQ(size(), 0u);
+  // A mutation's intent alone (a reclaim exports no object).
+  ASSERT_TRUE((*journal)->LogIntent(0).ok());
+  EXPECT_GT(size(), 0u);
+  ASSERT_TRUE((*journal)->LogCommitted(0).ok());
+  EXPECT_EQ(size(), 0u);
+  // A queued export closed by its own mutation.
+  ASSERT_TRUE((*journal)->LogPending(5).ok());
+  ASSERT_TRUE((*journal)->LogIntent(5).ok());
+  ASSERT_TRUE((*journal)->LogCommitted(5).ok());
+  EXPECT_EQ(size(), 0u);
+  // An export with nothing to write still closes its queue entry.
+  ASSERT_TRUE((*journal)->LogPending(6).ok());
+  ASSERT_TRUE((*journal)->LogPending(6).ok());
+  ASSERT_TRUE((*journal)->LogCommitted(6).ok());
+  EXPECT_GT(size(), 0u);  // the second entry of 6 is still queued
+  EXPECT_EQ((*journal)->pending(), std::set<ObjectId>({6}));
+  ASSERT_TRUE((*journal)->LogCommitted(6).ok());
+  EXPECT_EQ(size(), 0u);
+  EXPECT_TRUE((*journal)->pending().empty());
 }
 
 TEST(ExportJournalTest, TornTailIsDiscardedAndTruncated) {
@@ -156,7 +183,7 @@ TEST(ExportJournalTest, TornTailIsDiscardedAndTruncated) {
     auto journal = ExportJournal::Open(&env, "/j");
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*journal)->LogPending(1).ok());
-    ASSERT_TRUE((*journal)->LogAppend(1, 2, 0, 0, 64).ok());
+    ASSERT_TRUE((*journal)->LogIntent(1).ok());
   }
   auto size = env.GetFileSize("/j");
   ASSERT_TRUE(size.ok());
@@ -168,7 +195,9 @@ TEST(ExportJournalTest, TornTailIsDiscardedAndTruncated) {
   }
   auto journal = ExportJournal::Open(&env, "/j");
   ASSERT_TRUE(journal.ok());
-  EXPECT_EQ((*journal)->recovered().size(), 2u);  // intact prefix only
+  // The intact prefix only.
+  EXPECT_TRUE((*journal)->intent_open());
+  EXPECT_EQ((*journal)->pending(), std::set<ObjectId>({1}));
   auto truncated = env.GetFileSize("/j");
   ASSERT_TRUE(truncated.ok());
   EXPECT_EQ(*truncated, *size);  // torn bytes removed from the file
@@ -196,8 +225,7 @@ TEST(ExportJournalTest, CorruptMiddleRecordStopsTheScan) {
   }
   auto journal = ExportJournal::Open(&env, "/j");
   ASSERT_TRUE(journal.ok());
-  ASSERT_EQ((*journal)->recovered().size(), 1u);
-  EXPECT_EQ((*journal)->recovered()[0].object_id, 1u);
+  EXPECT_EQ((*journal)->pending(), std::set<ObjectId>({1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -565,72 +593,147 @@ TEST(HsmFaultTest, StagingRetriesTransientTapeErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-safe decoupled export: kill the process at every write point of the
-// export and verify the reopened database recovers a consistent archive.
+// Crash-safe tape writes: kill the process at every write point of each
+// tape-writing mutator and verify the reopened database recovers a
+// consistent archive.
 // ---------------------------------------------------------------------------
 
-TEST(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
-  const MdInterval domain({0, 0}, {49, 49});
-  auto make_options = [] {
+enum class TapeWriter {
+  kTctExport,
+  kSyncExport,
+  kMigrationExport,
+  kTileAtATime,
+  kReclaim,
+};
+
+const char* TapeWriterName(TapeWriter writer) {
+  switch (writer) {
+    case TapeWriter::kTctExport:
+      return "TctExport";
+    case TapeWriter::kSyncExport:
+      return "SyncExport";
+    case TapeWriter::kMigrationExport:
+      return "MigrationExport";
+    case TapeWriter::kTileAtATime:
+      return "TileAtATime";
+    case TapeWriter::kReclaim:
+      return "Reclaim";
+  }
+  return "";
+}
+
+void PrintTo(TapeWriter writer, std::ostream* os) {
+  *os << TapeWriterName(writer);
+}
+
+class CrashRecoveryTest : public ::testing::TestWithParam<TapeWriter> {
+ protected:
+  const MdInterval domain_{{0, 0}, {49, 49}};  // 10 000 bytes of floats
+
+  HeavenOptions Options() const {
     HeavenOptions options;
     options.library.profile = MidTapeProfile();
     options.library.num_drives = 2;
     options.library.num_media = 4;
     options.disk_tile_bytes = 2048;
     options.supertile_bytes = 8 << 10;
-    options.decoupled_export = true;
+    options.decoupled_export = GetParam() == TapeWriter::kTctExport;
+    if (GetParam() == TapeWriter::kMigrationExport) {
+      // The second insert crosses the high watermark; migrating the first
+      // object brings the volume back to the low one.
+      options.migrate_high_watermark_bytes = 15000;
+      options.migrate_low_watermark_bytes = 11000;
+    }
     return options;
-  };
+  }
 
-  // Dry run: count the writes a full decoupled export issues.
-  uint64_t export_writes = 0;
+  // Everything before the power cut: object "a" on disk, or on tape for
+  // the reclaim.
+  void Prepare(HeavenDb* db) {
+    auto coll = db->CreateCollection("c");
+    ASSERT_TRUE(coll.ok());
+    collection_ = *coll;
+    auto id = db->InsertObject(collection_, "a", Ramp(domain_));
+    ASSERT_TRUE(id.ok());
+    a_ = *id;
+    if (GetParam() == TapeWriter::kReclaim) {
+      ASSERT_TRUE(db->ExportObject(a_).ok());
+    }
+  }
+
+  // The mutator under test; its failure is the crash.
+  void Run(HeavenDb* db) {
+    switch (GetParam()) {
+      case TapeWriter::kTctExport:
+        if (db->ExportObject(a_).ok()) (void)db->DrainExports();
+        break;
+      case TapeWriter::kSyncExport:
+        (void)db->ExportObject(a_);
+        break;
+      case TapeWriter::kMigrationExport:
+        (void)db->InsertObject(collection_, "b", Ramp(domain_));
+        break;
+      case TapeWriter::kTileAtATime:
+        (void)db->ExportObjectTileAtATime(a_);
+        break;
+      case TapeWriter::kReclaim:
+        (void)db->ReclaimMedium(db->RegistrySnapshot()[0].medium);
+        break;
+    }
+  }
+
+  CollectionId collection_ = 0;
+  ObjectId a_ = 0;
+};
+
+TEST_P(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
+  // Dry run: count the writes the mutator issues.
+  uint64_t writes = 0;
   {
     MemEnv base;
     FaultInjectionEnv env(&base);
-    auto db = HeavenDb::Open(&env, "/db", make_options());
+    auto db = HeavenDb::Open(&env, "/db", Options());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    auto coll = (*db)->CreateCollection("c");
-    ASSERT_TRUE(coll.ok());
-    auto id = (*db)->InsertObject(*coll, "a", Ramp(domain));
-    ASSERT_TRUE(id.ok());
+    ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
     const uint64_t before = env.writes_issued();
-    ASSERT_TRUE((*db)->ExportObject(*id).ok());
-    ASSERT_TRUE((*db)->DrainExports().ok());
-    export_writes = env.writes_issued() - before;
+    Run(db->get());
+    writes = env.writes_issued() - before;
+    EXPECT_TRUE((*db)->TctLastError().ok());
+    EXPECT_GT((*db)->RegisteredSuperTiles(), 0u);  // "a" reached tape
   }
-  ASSERT_GT(export_writes, 0u);
-  ASSERT_LT(export_writes, 300u) << "sweep would be too slow";
+  ASSERT_GT(writes, 0u);
+  ASSERT_LT(writes, 300u) << "sweep would be too slow";
 
-  for (uint64_t limit = 1; limit <= export_writes; ++limit) {
+  for (uint64_t limit = 1; limit <= writes; ++limit) {
     SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
     MemEnv base;
     FaultInjectionEnv env(&base);
-    ObjectId id = 0;
     {
-      auto db = HeavenDb::Open(&env, "/db", make_options());
+      auto db = HeavenDb::Open(&env, "/db", Options());
       ASSERT_TRUE(db.ok()) << db.status().ToString();
-      auto coll = (*db)->CreateCollection("c");
-      ASSERT_TRUE(coll.ok());
-      auto inserted = (*db)->InsertObject(*coll, "a", Ramp(domain));
-      ASSERT_TRUE(inserted.ok());
-      id = *inserted;
+      ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
       env.SetWriteLimit(limit);  // the power cut is armed
-      Status exported = (*db)->ExportObject(id);
-      if (exported.ok()) (void)(*db)->DrainExports();  // may fail: that IS the crash
+      Run(db->get());
       env.ClearWriteLimit();
       // Destruction = the kill; whatever the limit let through is all that
       // survives on "disk".
     }
-    auto db = HeavenDb::Open(&env, "/db", make_options());
+    auto db = HeavenDb::Open(&env, "/db", Options());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    ASSERT_TRUE((*db)->DrainExports().ok());  // recovery re-drives the export
-    auto read = (*db)->ReadObject(id);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(read.value(), Ramp(domain));  // no lost committed object
+    ASSERT_TRUE((*db)->DrainExports().ok());  // recovery re-drives exports
+    // No lost committed object: "a" always, "b" if its insert committed.
+    ASSERT_TRUE((*db)->FindObject("a").ok());
+    for (const char* name : {"a", "b"}) {
+      auto object = (*db)->FindObject(name);
+      if (!object.ok()) continue;
+      auto read = (*db)->ReadObject(object->object_id);
+      ASSERT_TRUE(read.ok()) << name << ": " << read.status().ToString();
+      EXPECT_EQ(read.value(), Ramp(domain_)) << name;
+    }
     // No duplicate or orphaned containers: every byte on tape is referenced
     // by exactly one registry extent.
     uint64_t used = 0;
-    for (uint32_t m = 0; m < make_options().library.num_media; ++m) {
+    for (uint32_t m = 0; m < Options().library.num_media; ++m) {
       auto bytes = (*db)->library()->MediumUsedBytes(m);
       ASSERT_TRUE(bytes.ok());
       used += *bytes;
@@ -642,6 +745,16 @@ TEST(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
     EXPECT_EQ(used, live);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(TapeWriters, CrashRecoveryTest,
+                         ::testing::Values(TapeWriter::kTctExport,
+                                           TapeWriter::kSyncExport,
+                                           TapeWriter::kMigrationExport,
+                                           TapeWriter::kTileAtATime,
+                                           TapeWriter::kReclaim),
+                         [](const ::testing::TestParamInfo<TapeWriter>& info) {
+                           return std::string(TapeWriterName(info.param));
+                         });
 
 // The precomputed-results section commits with the update that invalidates
 // it: killed at any write point, the reopened database never serves an

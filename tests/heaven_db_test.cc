@@ -512,16 +512,14 @@ TEST_F(HeavenDbTest, MigrationPolicyViaTct) {
     // Background migration never charged the client clock with tape time.
     EXPECT_LT(db_->ClientSeconds(), 1.0);
     EXPECT_GT(db_->TapeSeconds(), 0.0);
-    // The insert of b queued both objects (the queue drains only after
-    // the insert returns) and the TCT ran exactly those two exports: the
-    // overview inserts inside them queued nothing more.
+    // As in the synchronous policy, the oldest object (a) was migrated
+    // and b stays on disk: queueing a already counted its bytes as gone,
+    // reaching the low watermark. The TCT ran exactly that one export; the
+    // overview insert inside it queued nothing more.
     EXPECT_TRUE(AllTilesAt(*a, TileLocation::kTertiary));
-    EXPECT_TRUE(AllTilesAt(*b, TileLocation::kTertiary));
-    EXPECT_EQ(db_->stats()->Get(Ticker::kTctExports), 2u);
-    if (overview_scale > 1) {
-      ExpectOverviewOnDisk("a");
-      ExpectOverviewOnDisk("b");
-    }
+    EXPECT_TRUE(AllTilesAt(*b, TileLocation::kDisk));
+    EXPECT_EQ(db_->stats()->Get(Ticker::kTctExports), 1u);
+    if (overview_scale > 1) ExpectOverviewOnDisk("a");
   }
 }
 
@@ -717,6 +715,54 @@ TEST_F(HeavenDbTest, ConcurrentCreateCollectionRegistersNameOnce) {
   const auto collections = db_->engine()->catalog()->ListCollections();
   ASSERT_EQ(collections.size(), 1u);
   EXPECT_EQ(collections[0].second, "same");
+}
+
+// Aggregate caches a value only while no mutation has published since its
+// snapshot pin, so an UpdateRegion racing it can never leave the value of
+// the old cells behind — in memory or in the persisted catalog.
+TEST_F(HeavenDbTest, ConcurrentAggregateAndUpdateCacheNoStaleValue) {
+  const MdInterval domain({0, 0}, {39, 39});
+  const ObjectId id = Insert("a", domain);
+  // Aggregate over `region` must equal the sum over what ReadObject
+  // returns; counts the regions where it does not.
+  int stale = 0;
+  auto check = [&](const MdInterval& region) {
+    auto read = db_->ReadObject(id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    auto want = CondenseRegion(*read, Condenser::kSum, region);
+    ASSERT_TRUE(want.ok());
+    auto got = db_->Aggregate(id, Condenser::kSum, region);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    if (*got != *want) ++stale;
+  };
+  constexpr int kRounds = 40;
+  std::vector<MdInterval> regions;
+  for (int round = 0; round < kRounds; ++round) {
+    // A fresh region each round, so the racing Aggregate always computes.
+    regions.emplace_back(MdPoint({0, 0}), MdPoint({9 + round / 30,
+                                                   9 + round % 30}));
+    ASSERT_TRUE(db_->ExportObject(id).ok());  // archived: reads hit tape
+    MddArray patch(MdInterval({5, 5}, {12, 12}), CellType::kFloat);
+    patch.Generate([&](const MdPoint&) { return 1000.0 + round; });
+    std::atomic<bool> go{false};
+    std::thread reader([&] {
+      while (!go.load()) std::this_thread::yield();
+      EXPECT_TRUE(db_->Aggregate(id, Condenser::kSum, regions.back()).ok());
+    });
+    std::thread writer([&] {
+      while (!go.load()) std::this_thread::yield();
+      EXPECT_TRUE(db_->UpdateRegion(id, patch).ok());
+    });
+    go.store(true);
+    reader.join();
+    writer.join();
+    check(regions.back());
+  }
+  EXPECT_EQ(stale, 0) << "stale aggregates in " << kRounds << " rounds";
+  stale = 0;
+  OpenDb();  // the persisted catalog must hold no stale value either
+  for (const MdInterval& region : regions) check(region);
+  EXPECT_EQ(stale, 0) << "stale aggregates after reopen";
 }
 
 TEST_F(HeavenDbTest, ReclaimEmptyMediumIsNoOp) {
