@@ -118,18 +118,17 @@ int main(int argc, char** argv) {
   {
     MemEnv env;
     {
-      // Two queued exports, the first one's intent and close: the second
-      // stays pending, so the close is a record rather than a truncate.
+      // Two queued exports, the first one's intent and close (which
+      // rewrites the journal to the second's kPending), then the second's
+      // intent.
       auto journal = ExportJournal::Open(&env, "j");
       (void)(*journal)->LogPending(7);
       (void)(*journal)->LogPending(8);
       (void)(*journal)->LogIntent(7);
       (void)(*journal)->LogCommitted(7);
+      (void)(*journal)->LogIntent(8);
     }
-    auto file = env.OpenFile("j");
-    const uint64_t size = (*file)->Size().value();
-    std::string image;
-    (void)(*file)->ReadAt(0, size, &image);
+    const std::string image = (*env.OpenFile("j"))->ReadAll().value();
     WriteSeed(root / "export_journal", "committed.bin", image);
     // A torn tail: the same image with the last frame cut mid-payload.
     WriteSeed(root / "export_journal", "torn.bin",

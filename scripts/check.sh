@@ -128,6 +128,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # unchanged snapshot version; twenty repeats race it against UpdateRegion.
   ./build-tsan/tests/heaven_db_test \
       --gtest_filter='*ConcurrentAggregateAndUpdate*' --gtest_repeat=20
+  # Prefetch claims single-flight leaders beside query fetches; twenty
+  # repeats of the cold storm race them for the same super-tiles.
+  ./build-tsan/tests/concurrency_stress_test \
+      --gtest_filter='PrefetchStormTest.*' --gtest_repeat=20
 fi
 
 if [[ "$RUN_FAULTS" == 1 ]]; then
@@ -136,6 +140,8 @@ if [[ "$RUN_FAULTS" == 1 ]]; then
       >/dev/null
   cmake --build build-asan -j"$(nproc)" \
       --target fault_injection_test concurrency_stress_test
+  # Includes the kill-at-every-write-point sweeps: the tape writers, the
+  # catalog mutators (delete, reimport, update) and the journal rewrite.
   ./build-asan/tests/fault_injection_test
   HEAVEN_FAULT_STORM_SEEDS=100 ./build-asan/tests/concurrency_stress_test \
       --gtest_filter='FaultStormTest.*'

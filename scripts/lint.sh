@@ -17,12 +17,7 @@
 #     in common/statistics.h; gauges register with the MetricsRegistry
 #     (common/metrics.h) owned by HeavenDb, so every number shows up in
 #     \metrics, ExportMetrics and the bench reports.
-#  5. The raw Z-order kernel (heaven/zorder.h) is banned in src/ outside
-#     the SpaceFillingCurve implementations: callers that hardcode
-#     ZOrderKey bypass the per-object curve choice (HeavenOptions::curve,
-#     EXPORT ... WITH CURVE) and silently mis-cluster Hilbert objects.
-#     Order tiles through GetCurve(kind).Key(...) instead.
-#  6. Ad-hoc std::chrono timeout/deadline plumbing is banned in src/
+#  5. Ad-hoc std::chrono timeout/deadline plumbing is banned in src/
 #     outside common/admission.h: wall-clock sleeps, timed waits and
 #     chrono-typed deadlines bypass the simulated clock, so they are
 #     invisible to the cost model, non-deterministic across machines and
@@ -30,7 +25,7 @@
 #     QueryContext/Deadline (common/admission.h) on the SimClock;
 #     std::chrono stays legal only for wall-clock *measurement*
 #     (histograms, metric timestamps).
-#  7. Every Mutex data member in a src/ header must declare its place in
+#  6. Every Mutex data member in a src/ header must declare its place in
 #     the lock hierarchy: an adjacent ACQUIRED_AFTER / ACQUIRED_BEFORE
 #     annotation, or an explicit `// analyze: leaf-lock` marker for locks
 #     that never nest around another. The heaven_analyze tool
@@ -42,11 +37,11 @@ set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Rule 7 matcher, factored out so --self-test can negative-test it: prints
+# Rule 6 matcher, factored out so --self-test can negative-test it: prints
 # Mutex member declarations lacking both a lock-order annotation and the
 # leaf-lock marker. The anchor at line start keeps local `MutexLock`
 # guards out of scope.
-rule7_violations() {
+rule6_violations() {
   grep -nE '^[[:space:]]*(mutable[[:space:]]+)?Mutex[[:space:]]+[a-zA-Z_]' \
        "$@" \
     | grep -vE 'ACQUIRED_(AFTER|BEFORE)|analyze: leaf-lock' || true
@@ -63,12 +58,12 @@ EOF
   Mutex ordered_ ACQUIRED_AFTER("HeavenDb::db_mu_");
   Mutex before_ ACQUIRED_BEFORE("TapeLibrary::mu_");
 EOF
-  if [[ -z "$(rule7_violations "$tmp/bad.h")" ]]; then
-    echo "lint self-test: rule 7 missed an unannotated mutex member" >&2
+  if [[ -z "$(rule6_violations "$tmp/bad.h")" ]]; then
+    echo "lint self-test: rule 6 missed an unannotated mutex member" >&2
     exit 1
   fi
-  if [[ -n "$(rule7_violations "$tmp/good.h")" ]]; then
-    echo "lint self-test: rule 7 false positive on annotated members" >&2
+  if [[ -n "$(rule6_violations "$tmp/good.h")" ]]; then
+    echo "lint self-test: rule 6 false positive on annotated members" >&2
     exit 1
   fi
   echo "lint: self-test ok"
@@ -118,19 +113,7 @@ if [[ -n "$hits" ]]; then
   note "ad-hoc metric plumbing outside src/common/ (extend common/statistics.h enums; register gauges with the MetricsRegistry in common/metrics.h):" "$hits"
 fi
 
-# --- 5. curve choice goes through SpaceFillingCurve ---------------------------
-# Only the curve implementations may call the raw Z-order kernel; every
-# other layer orders tiles via GetCurve(kind).Key so Hilbert objects
-# cluster on their own curve.
-allowed='src/heaven/zorder\.(h|cc)|src/heaven/space_filling_curve\.cc'
-pattern='\bZOrderKey\s*\(|#include +"heaven/zorder\.h"'
-hits=$(grep -rnE "$pattern" src/ --include='*.h' --include='*.cc' \
-         | grep -vE "^($allowed):" || true)
-if [[ -n "$hits" ]]; then
-  note "direct Z-order kernel use in src/ (route through GetCurve(kind).Key so the per-object curve is honored):" "$hits"
-fi
-
-# --- 6. timeouts and deadlines go through common/admission.h ------------------
+# --- 5. timeouts and deadlines go through common/admission.h ------------------
 # Wall-clock sleeps / timed waits / chrono deadline variables in src/ are
 # invisible to the simulated clock and to admission control. The only
 # sanctioned deadline type is Deadline (common/admission.h) on the
@@ -144,11 +127,11 @@ if [[ -n "$hits" ]]; then
   note "ad-hoc std::chrono timeout/deadline plumbing in src/ (deadlines ride QueryContext/Deadline from common/admission.h on the SimClock):" "$hits"
 fi
 
-# --- 7. mutex members declare their place in the lock order -------------------
+# --- 6. mutex members declare their place in the lock order -------------------
 # tools/heaven_analyze builds the lock-order graph from these annotations
 # (plus observed nesting) and rejects cycles; a member carrying neither an
 # order annotation nor the leaf-lock marker is invisible to that check.
-hits=$(rule7_violations $(find src -name '*.h' | sort))
+hits=$(rule6_violations $(find src -name '*.h' | sort))
 if [[ -n "$hits" ]]; then
   note "mutex member without a lock-order annotation in src/ headers (add ACQUIRED_AFTER/ACQUIRED_BEFORE or '// analyze: leaf-lock'; see tools/heaven_analyze):" "$hits"
 fi

@@ -173,6 +173,13 @@ class MemFile : public File {
 
 }  // namespace
 
+Result<std::string> File::ReadAll() {
+  HEAVEN_ASSIGN_OR_RETURN(uint64_t size, Size());
+  std::string contents;
+  if (size > 0) HEAVEN_RETURN_IF_ERROR(ReadAt(0, size, &contents));
+  return contents;
+}
+
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();
   return env;

@@ -26,6 +26,9 @@ class File {
   virtual Result<uint64_t> Size() = 0;
   virtual Status Truncate(uint64_t size) = 0;
   virtual Status Sync() = 0;
+
+  /// The whole file.
+  Result<std::string> ReadAll();
 };
 
 /// Filesystem abstraction so the storage engine runs against the real

@@ -133,7 +133,13 @@ class FaultInjectionFile : public File {
 
   Result<uint64_t> Size() override { return base_->Size(); }
 
-  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Truncate(uint64_t size) override {
+    // All or nothing: a truncate at the limit never happens.
+    size_t torn_prefix = 0;
+    HEAVEN_RETURN_IF_ERROR(
+        env_->CheckWrite(0, &torn_prefix, /*random_faults=*/false));
+    return base_->Truncate(size);
+  }
 
   Status Sync() override {
     HEAVEN_RETURN_IF_ERROR(env_->CheckSync());
@@ -196,7 +202,8 @@ uint64_t FaultInjectionEnv::writes_issued() const {
   return writes_issued_;
 }
 
-Status FaultInjectionEnv::CheckWrite(size_t n, size_t* allowed_prefix) {
+Status FaultInjectionEnv::CheckWrite(size_t n, size_t* allowed_prefix,
+                                     bool random_faults) {
   *allowed_prefix = 0;
   {
     MutexLock lock(mu_);
@@ -214,6 +221,7 @@ Status FaultInjectionEnv::CheckWrite(size_t n, size_t* allowed_prefix) {
       return Status::Ok();
     }
   }
+  if (!random_faults) return Status::Ok();
   if (injector_.ShouldFail(FaultSite::kTornWrite)) {
     *allowed_prefix = n > 0 ? injector_.Draw(FaultSite::kTornWrite, n) : 0;
     return Status::IOError("injected torn write");

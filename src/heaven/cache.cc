@@ -165,7 +165,7 @@ void SuperTileCache::EvictOneLocked(Shard* shard) {
 
 void SuperTileCache::Insert(SuperTileId id,
                             std::shared_ptr<const SuperTile> super_tile,
-                            uint64_t size_bytes) {
+                            uint64_t size_bytes, bool prefetched) {
   Shard& shard = ShardFor(id);
   if (size_bytes > shard.capacity_bytes) return;  // not admissible
   // analyze: wallclock(lock-wait histogram measures real contention)
@@ -204,6 +204,7 @@ void SuperTileCache::Insert(SuperTileId id,
   entry.access_count = preserved_access_count;
   entry.inserted_seq = ++shard.seq;
   entry.accessed_seq = entry.inserted_seq;
+  entry.prefetched = prefetched;
   shard.bytes += size_bytes;
   auto [pos, inserted] = shard.entries.emplace(id, std::move(entry));
   HEAVEN_DCHECK(inserted);
@@ -226,10 +227,12 @@ std::shared_ptr<const SuperTile> SuperTileCache::Lookup(SuperTileId id) {
   }
   TouchLocked(&shard, id, &it->second);
   if (stats_ != nullptr) {
+    if (it->second.prefetched) stats_->Record(Ticker::kPrefetchUseful);
     stats_->Record(Ticker::kCacheHits);
     stats_->RecordHistogram(HistogramKind::kCacheLookupBytes,
                             static_cast<double>(it->second.size_bytes));
   }
+  it->second.prefetched = false;
   return it->second.super_tile;
 }
 

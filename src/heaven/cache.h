@@ -58,11 +58,14 @@ class SuperTileCache {
   /// Inserts (or refreshes) a super-tile, evicting per policy as needed.
   /// Objects larger than a shard's capacity are not admitted. A refresh
   /// keeps the entry's accumulated access frequency (LFU history) but
-  /// counts as a fresh insertion for FIFO ordering.
+  /// counts as a fresh insertion for FIFO ordering. `prefetched` flags a
+  /// speculative read; a refresh replaces the flag.
   void Insert(SuperTileId id, std::shared_ptr<const SuperTile> super_tile,
-              uint64_t size_bytes);
+              uint64_t size_bytes, bool prefetched = false);
 
-  /// The cached super-tile, or nullptr on a miss. Records hit/miss tickers.
+  /// The cached super-tile, or nullptr on a miss. Records hit/miss tickers;
+  /// the first hit on a prefetched entry also counts Ticker::kPrefetchUseful
+  /// and clears its flag.
   std::shared_ptr<const SuperTile> Lookup(SuperTileId id);
 
   /// True without perturbing recency/frequency bookkeeping or tickers.
@@ -99,6 +102,8 @@ class SuperTileCache {
     uint64_t access_count = 0;
     uint64_t inserted_seq = 0;
     uint64_t accessed_seq = 0;
+    /// Admitted by a prefetch and not hit since.
+    bool prefetched = false;
     /// Position in `order` (LRU/FIFO) or in the `buckets` list holding the
     /// entry (LFU); unused for the size-aware policy.
     std::list<SuperTileId>::iterator list_pos;

@@ -1,40 +1,86 @@
 #include "heaven/export_journal.h"
 
+#include <optional>
+#include <string_view>
+
 #include "common/coding.h"
 #include "common/logging.h"
 
 namespace heaven {
 
-ExportJournal::ExportJournal(std::unique_ptr<File> file)
-    : file_(std::move(file)) {}
+namespace {
+
+/// [u32 len][u32 crc32c][payload].
+std::string Frame(std::string_view payload) {
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&frame, Crc32c(payload));
+  frame.append(payload);
+  return frame;
+}
+
+/// The frame of one record: [u8 kind][u64 object_id].
+std::string Record(uint8_t kind, ObjectId object_id) {
+  std::string payload(1, static_cast<char>(kind));
+  PutFixed64(&payload, object_id);
+  return Frame(payload);
+}
+
+/// The payload of the intact frame `data` starts with, if any.
+std::optional<std::string_view> Unframe(std::string_view data) {
+  Decoder header(data);
+  uint32_t len = 0;
+  uint32_t crc = 0;
+  if (!header.GetFixed32(&len).ok() || !header.GetFixed32(&crc).ok() ||
+      data.size() - 8 < len || Crc32c(data.substr(8, len)) != crc) {
+    return std::nullopt;
+  }
+  return data.substr(8, len);
+}
+
+/// Durably replaces the whole file with `image`.
+Status Replace(File* file, std::string_view image) {
+  HEAVEN_RETURN_IF_ERROR(file->Truncate(0));
+  HEAVEN_RETURN_IF_ERROR(file->WriteAt(0, image));
+  return file->Sync();
+}
+
+}  // namespace
+
+ExportJournal::ExportJournal(Env* env, std::string path,
+                             std::unique_ptr<File> file)
+    : env_(env), path_(std::move(path)), file_(std::move(file)) {}
 
 Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
     Env* env, const std::string& path) {
   HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->OpenFile(path));
-  HEAVEN_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  std::string image;
-  if (size > 0) {
-    HEAVEN_RETURN_IF_ERROR(file->ReadAt(0, size, &image));
+  HEAVEN_ASSIGN_OR_RETURN(std::string image, file->ReadAll());
+  const std::string side_path = path + ".rewrite";
+  if (env->FileExists(side_path)) {
+    // A rewrite was cut short: adopt its image if whole, unless the log
+    // already begins with it (rewritten, then appended to).
+    HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side,
+                            env->OpenFile(side_path));
+    HEAVEN_ASSIGN_OR_RETURN(const std::string side_image, side->ReadAll());
+    const std::optional<std::string_view> rewritten = Unframe(side_image);
+    if (rewritten.has_value() && !image.starts_with(*rewritten)) {
+      image = *rewritten;
+      HEAVEN_RETURN_IF_ERROR(Replace(file.get(), image));
+    }
+    HEAVEN_RETURN_IF_ERROR(env->DeleteFile(side_path));
   }
-  std::unique_ptr<ExportJournal> journal(new ExportJournal(std::move(file)));
+  std::unique_ptr<ExportJournal> journal(
+      new ExportJournal(env, path, std::move(file)));
   MutexLock lock(journal->mu_);
 
   // Scan intact frames; a torn/corrupt frame ends the journal (it is the
   // crash's own tail — by construction nothing after it ever mattered).
   size_t pos = 0;
-  while (pos + 8 <= image.size()) {
-    Decoder header(std::string_view(image).substr(pos, 8));
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    HEAVEN_RETURN_IF_ERROR(header.GetFixed32(&len));
-    HEAVEN_RETURN_IF_ERROR(header.GetFixed32(&crc));
-    if (pos + 8 + len > image.size()) break;  // torn frame
-    const std::string_view payload =
-        std::string_view(image).substr(pos + 8, len);
-    if (Crc32c(payload) != crc) break;  // corrupt frame
+  while (const std::optional<std::string_view> payload =
+             Unframe(std::string_view(image).substr(pos))) {
     // Bytes past the object id are ignored: the per-container records of
     // older journals share kind 2 and replay as the open intent they imply.
-    Decoder dec(payload);
+    Decoder dec(*payload);
     std::string kind;
     uint64_t object_id = 0;
     if (!dec.GetRaw(1, &kind).ok() || kind[0] < 1 || kind[0] > 3 ||
@@ -42,7 +88,7 @@ Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
       break;  // undecodable frame
     }
     journal->Apply(static_cast<Kind>(kind[0]), object_id);
-    pos += 8 + len;
+    pos += 8 + payload->size();
   }
   if (pos < image.size()) {
     HEAVEN_LOG(Warning) << "export journal " << path << ": discarding "
@@ -64,12 +110,7 @@ std::set<ObjectId> ExportJournal::pending() const {
 }
 
 Status ExportJournal::Log(Kind kind, ObjectId object_id) {
-  std::string payload(1, static_cast<char>(kind));
-  PutFixed64(&payload, object_id);
-  std::string frame;
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32c(payload));
-  frame.append(payload);
+  const std::string frame = Record(static_cast<uint8_t>(kind), object_id);
   HEAVEN_RETURN_IF_ERROR(file_->WriteAt(end_, frame));
   HEAVEN_RETURN_IF_ERROR(file_->Sync());
   end_ += frame.size();
@@ -106,16 +147,33 @@ Status ExportJournal::LogIntent(ObjectId object_id) {
 
 Status ExportJournal::LogCommitted(ObjectId object_id) {
   MutexLock lock(mu_);
-  const bool closes_pending = pending_.find(object_id) != pending_.end();
-  if (!intent_open_ && !closes_pending) return Status::Ok();
-  if (pending_.size() > (closes_pending ? 1u : 0u)) {
-    return Log(Kind::kCommitted, object_id);
+  std::multiset<ObjectId> still_pending = pending_;
+  const auto closed = still_pending.find(object_id);
+  if (!intent_open_ && closed == still_pending.end()) return Status::Ok();
+  if (closed != still_pending.end()) still_pending.erase(closed);
+  if (still_pending.empty()) {
+    // Nothing stays open: an empty log says so for good.
+    HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
+    end_ = 0;
+  } else {
+    HEAVEN_RETURN_IF_ERROR(Rewrite(still_pending));
   }
-  // Nothing stays open: an empty log says so for good.
-  HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
-  end_ = 0;
   Apply(Kind::kCommitted, object_id);
   return Status::Ok();
+}
+
+Status ExportJournal::Rewrite(const std::multiset<ObjectId>& pending) {
+  std::string image;
+  for (ObjectId object_id : pending) {
+    image += Record(static_cast<uint8_t>(Kind::kPending), object_id);
+  }
+  const std::string side_path = path_ + ".rewrite";
+  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side,
+                          env_->OpenFile(side_path));
+  HEAVEN_RETURN_IF_ERROR(Replace(side.get(), Frame(image)));
+  HEAVEN_RETURN_IF_ERROR(Replace(file_.get(), image));
+  end_ = image.size();
+  return env_->DeleteFile(side_path);
 }
 
 Status ExportJournal::Reset() {

@@ -19,10 +19,10 @@ namespace heaven {
 /// catalog commit) and the TCT's queued exports. A kill mid-mutation
 /// leaves an open intent (or an unfinished queued export), which tells the
 /// reopen to roll the orphaned tape tails back and re-enqueue the
-/// unfinished objects. A close that leaves nothing open truncates the log,
-/// so it stays bounded. Records are CRC-framed like WAL records; a torn
-/// tail (the crash interrupting the journal itself) is detected by
-/// checksum and discarded.
+/// unfinished objects. A close shrinks the log to what stays open (nothing,
+/// or one kPending frame per queued export), so it stays bounded.
+/// Records are CRC-framed like WAL records; a torn tail (the crash
+/// interrupting the journal itself) is detected by checksum and discarded.
 ///
 /// Frame layout: [u32 payload_len][u32 crc32c(payload)][payload], where the
 /// payload is one record: [u8 kind][u64 object_id].
@@ -46,8 +46,8 @@ class ExportJournal {
   Status LogPending(ObjectId object_id) EXCLUDES(mu_);
   /// A mutation exporting `object_id` (0: none) is about to append to tape.
   Status LogIntent(ObjectId object_id) EXCLUDES(mu_);
-  /// Closes the open intent and one queued export of `object_id`. Closing
-  /// nothing writes nothing.
+  /// Closes the open intent and one queued export of `object_id`, then
+  /// shrinks the log to what stays open. Closing nothing writes nothing.
   Status LogCommitted(ObjectId object_id) EXCLUDES(mu_);
 
   /// Truncates the journal and forgets what it held open; recovery calls
@@ -58,17 +58,24 @@ class ExportJournal {
   enum class Kind : uint8_t {
     kPending = 1,    // object handed to the TCT, export not finished
     kIntent = 2,     // a mutation is about to append to tape
-    kCommitted = 3,  // that mutation (and the object's queued export) closed
+    kCommitted = 3,  // a close; replayed from older journals, never written
   };
 
-  explicit ExportJournal(std::unique_ptr<File> file);
+  ExportJournal(Env* env, std::string path, std::unique_ptr<File> file);
 
   /// Makes the record durable, then applies it.
   Status Log(Kind kind, ObjectId object_id) REQUIRES(mu_);
+  /// Replaces the log with one kPending frame per entry of `pending`. The
+  /// image is durable as one frame in `<path>.rewrite` first; Open adopts
+  /// that file unless the log already begins with its image, so a crash
+  /// replays the state before or after the rewrite.
+  Status Rewrite(const std::multiset<ObjectId>& pending) REQUIRES(mu_);
   /// The record's effect on what the journal holds open.
   void Apply(Kind kind, ObjectId object_id) REQUIRES(mu_);
 
   mutable Mutex mu_;  // analyze: leaf-lock
+  Env* env_;                // analyze: unguarded(fixed at Open)
+  const std::string path_;  // analyze: unguarded(fixed at Open)
   /// Written under mu_ once the journal is shared; the Open-time replay
   /// and truncate happen before any other thread can see the object.
   std::unique_ptr<File> file_;  // analyze: unguarded(pre-publish in Open)

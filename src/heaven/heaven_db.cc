@@ -77,6 +77,18 @@ void StageTileMove(Transaction* txn, ObjectId object_id, TileDescriptor tile,
   update.tile = std::move(tile);
   txn->UpdateCatalog(update);
 }
+
+/// Appends the tape super-tiles of `tiles` not in `ids` yet, in tile order.
+void AddTapeSuperTiles(const std::vector<TileDescriptor>& tiles,
+                       std::vector<SuperTileId>* ids) {
+  for (const TileDescriptor& tile : tiles) {
+    if (tile.location == TileLocation::kTertiary &&
+        std::find(ids->begin(), ids->end(), tile.super_tile) == ids->end()) {
+      ids->push_back(tile.super_tile);
+    }
+  }
+}
+
 }  // namespace
 
 HeavenDb::HeavenDb(Env* env, std::string dir, HeavenOptions options)
@@ -1056,213 +1068,23 @@ Status HeavenDb::FetchSuperTiles(
     const DbSnapshot& snap, const QueryContext& ctx,
     const std::vector<SuperTileId>& ids,
     std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out) {
-  std::vector<SuperTileRequest> requests;
-  // Fetches this call leads (its promises to fulfil) and fetches led by a
-  // concurrent call that we piggyback on (their futures to await).
-  std::map<SuperTileId, std::shared_ptr<InflightFetch>> owned;
-  std::vector<std::pair<SuperTileId, std::shared_future<FetchResult>>> waits;
-
-  for (SuperTileId id : ids) {
-    if (out->count(id) > 0) continue;
-    for (;;) {
-      std::shared_ptr<const SuperTile> cached = cache_->Lookup(id);
-      QueryProfiler::Count(cached != nullptr ? &QueryProfile::cache_hits
-                                             : &QueryProfile::cache_misses);
-      if (cached != nullptr) {
-        NotePrefetchHit(id);  // account prefetch usefulness
-        out->emplace(id, std::move(cached));
-        break;
-      }
-      MutexLock fetch_lock(fetch_mu_);
-      auto flight_it = inflight_.find(id);
-      if (flight_it != inflight_.end()) {
-        // Single-flight: a concurrent fetch of this super-tile is already
-        // running — wait for its result instead of touching the tape.
-        stats_.Record(Ticker::kFetchCoalesced);
-        QueryProfiler::Count(&QueryProfile::fetches_coalesced);
-        waits.emplace_back(id, flight_it->second->future);
-        break;
-      }
-      if (cache_->Contains(id)) {
-        // A leader finished between our Lookup miss and taking fetch_mu_;
-        // loop to take the hit through Lookup (Contains perturbs nothing,
-        // so the serial ticker sequence is unchanged).
-        continue;
-      }
-      const SuperTileMeta* meta = snap.FindSuperTile(id);
-      if (meta == nullptr) {
-        fetch_lock.Unlock();
-        Status status = Status::NotFound("super-tile " + std::to_string(id) +
-                                         " not registered");
-        FailOwnedFetches(&owned, status);
-        return status;
-      }
-      if (controller_ != nullptr && BrownoutActive()) {
-        // Degraded mode: cache hits (above) and coalesced waits on fetches
-        // already running still succeed, but this query must not become a
-        // new tape-fetch leader.
-        fetch_lock.Unlock();
-        stats_.Record(Ticker::kBrownoutRefusals);
-        Status status = Status::ResourceExhausted(
-            "brownout: super-tile " + std::to_string(id) +
-            " is not cached and tape fetches are suspended");
-        FailOwnedFetches(&owned, status);
-        return status;
-      }
-      auto flight = std::make_shared<InflightFetch>();
-      flight->future = flight->promise.get_future().share();
-      inflight_.emplace(id, flight);
-      owned.emplace(id, std::move(flight));
-      requests.push_back({id, meta->medium, meta->offset, meta->size_bytes,
-                          meta->crc32c});
-      break;
-    }
+  FetchBatch batch;
+  FetchWaits waits;
+  Result<AdmissionController::InflightGrant> grant =
+      ClassifyFetches(snap, ctx, ids, out, &batch, &waits);
+  if (!grant.ok()) {
+    SettleFetches(&batch, {}, grant.status());
+    return grant.status();
   }
-
-  if (!requests.empty()) {
-    requests = ScheduleRequests(std::move(requests), *library_,
-                                options_.schedule_policy);
-    if (ctx.deadline.has_deadline()) {
-      // Cost-model pre-admission: a plan that provably cannot finish
-      // within the remaining deadline fails in O(n) — before any robot
-      // motion, seek or transfer is charged to the simulation.
-      const double slack = controller_ != nullptr
-                               ? controller_->options().preadmission_slack
-                               : 1.0;
-      const double estimate_s = EstimatePlanSeconds(requests, *library_);
-      const double remaining_s = ctx.deadline.remaining_s();
-      if (estimate_s > remaining_s * slack) {
-        stats_.Record(Ticker::kAdmissionPreadmitRejects);
-        Status status = Status::DeadlineExceeded(
-            "pre-admission: plan needs an estimated " +
-            std::to_string(estimate_s) + "s of tape time but only " +
-            std::to_string(remaining_s) + "s of the deadline remain");
-        FailOwnedFetches(&owned, status);
-        return status;
-      }
-    }
-    AdmissionController::InflightGrant grant;
-    if (controller_ != nullptr && controller_->enabled()) {
-      uint64_t batch_bytes = 0;
-      for (const SuperTileRequest& request : requests) {
-        batch_bytes += request.size_bytes;
-      }
-      Result<AdmissionController::InflightGrant> acquired =
-          controller_->AcquireInflight(batch_bytes, requests.size());
-      if (!acquired.ok()) {
-        FailOwnedFetches(&owned, acquired.status());
-        return acquired.status();
-      }
-      grant = std::move(acquired).value();
-    }
+  if (!batch.requests.empty()) {
     const double tape_before = library_->ElapsedSeconds();
-    MediumId last_medium = requests.back().medium;
-    uint64_t last_end = requests.back().offset + requests.back().size_bytes;
-
-    // Each transferred container is decoded by a pool task while the drive
-    // transfers the next one (inline on a zero-worker pool); the transfer
-    // loop stays serial in schedule order, so the tape clock and seek
-    // pattern are untouched. This thread admits the decoded super-tiles to
-    // the cache in schedule order, at most one task per worker behind the
-    // transfer loop: the cache's LRU order, and every later hit, eviction
-    // and seek, is the same for every thread count. Every decode task
-    // carries this query's trace context, so each is joined before this
-    // function returns, on every path.
-    std::vector<std::shared_ptr<const SuperTile>> decoded(requests.size());
-    std::vector<double> fetch_seconds(requests.size());
-    std::deque<std::future<Result<SuperTile>>> pending;
-    size_t admitted = 0;  // requests before this one have been joined
-    // Joins the oldest pending decode and admits its super-tile. The
-    // cancellation checkpoint runs after admission, so a cancelled query
-    // keeps the transfer it paid for — a rerun takes the cache hit.
-    auto admit_next = [&]() -> Status {
-      Result<SuperTile> st = pending.front().get();
-      pending.pop_front();
-      const size_t i = admitted++;
-      HEAVEN_RETURN_IF_ERROR(st.status());
-      auto shared = std::make_shared<const SuperTile>(std::move(st).value());
-      cache_->Insert(requests[i].id, shared, requests[i].size_bytes);
-      stats_.Record(Ticker::kSuperTilesRead);
-      stats_.Record(Ticker::kSuperTileBytesRead, requests[i].size_bytes);
-      stats_.RecordHistogram(HistogramKind::kSuperTileFetchSeconds,
-                             fetch_seconds[i]);
-      decoded[i] = std::move(shared);
-      if (!ctx.unconstrained()) return ctx.Check("decode");
-      return Status::Ok();
-    };
-    Status status = Status::Ok();
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const SuperTileRequest& request = requests[i];
-      if (!ctx.unconstrained()) {
-        // Cooperative checkpoint at the container boundary: a cancelled or
-        // expired query stops between transfers, never mid-container.
-        // Everything already decoded stays admitted to the cache.
-        status = ctx.Check("tape fetch");
-        if (!status.ok()) break;
-      }
-      const double fetch_before = library_->ElapsedSeconds();
-      std::string container;
-      {
-        ScopedSpan fetch_span(stats_.trace(), "supertile.fetch",
-                              ProfileStage::kTapeFetch);
-        fetch_span.SetBytes(request.size_bytes);
-        status = ReadContainerVerified(request.id, ctx, request.medium,
-                                       request.offset, request.size_bytes,
-                                       request.crc32c, &container);
-      }
-      if (!status.ok()) break;
-      fetch_seconds[i] = library_->ElapsedSeconds() - fetch_before;
-      pending.push_back(pool_->Submit(
-          [this, c = std::move(container)]() -> Result<SuperTile> {
-            ScopedSpan decode_span(stats_.trace(), "supertile.decode",
-                                   ProfileStage::kDecode);
-            decode_span.SetBytes(c.size());
-            return SuperTile::Deserialize(c);
-          }));
-      if (pending.size() > pool_->num_threads()) {
-        status = admit_next();
-        if (!status.ok()) break;
-      }
-    }
-    // Join the decodes still in flight. Their transfers are paid for, so
-    // they are admitted even after an error.
-    while (!pending.empty()) {
-      Status s = admit_next();
-      if (status.ok()) status = s;
-    }
-    if (!status.ok()) {
-      // A cancelled/expired batch may have fully decoded containers; their
-      // waiters get the super-tiles, only the rest fail.
-      SettlePartialFetches(&owned, requests, decoded, status);
-      return status;
-    }
-    // Fulfil this call's promises *before* waiting on foreign futures
-    // below: two calls leading fetches while waiting on each other can
-    // then never cycle. Every request is validated against `owned` first —
-    // a promise must never be set and then hit an error path that would
-    // try to fail it a second time.
-    for (const SuperTileRequest& request : requests) {
-      if (owned.find(request.id) == owned.end()) {
-        status = Status::Internal("fetch leader lost ownership of super-tile " +
-                                  std::to_string(request.id));
-        FailOwnedFetches(&owned, status);
-        return status;
-      }
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      owned.find(requests[i].id)->second->promise.set_value(
-          FetchResult(decoded[i]));
-    }
-    {
-      MutexLock fetch_lock(fetch_mu_);
-      for (auto& [id, flight] : owned) inflight_.erase(id);
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      out->emplace(requests[i].id, std::move(decoded[i]));
-    }
+    HEAVEN_RETURN_IF_ERROR(
+        TransferFetches(ctx, /*prefetched=*/false, &batch, out));
     client_clock_.Advance(library_->ElapsedSeconds() - tape_before);
-    MaybePrefetch(snap, last_medium, last_end);
+    const SuperTileRequest& last = batch.requests.back();
+    MaybePrefetch(snap, last.medium, last.offset + last.size_bytes);
   }
+  grant->Release();
 
   // Collect coalesced results. Only the leader paid tape time onto the
   // client clock; a waiter consumes none (the fetch was already running).
@@ -1282,59 +1104,190 @@ Status HeavenDb::FetchSuperTiles(
   return Status::Ok();
 }
 
-void HeavenDb::NotePrefetchHit(SuperTileId id) {
-  // Fast path for the cache-hit storm: with no prefetch outstanding (the
-  // common case, and always when prefetch is disabled) readers must not
-  // serialize on prefetch_mu_ just to find an empty list.
-  if (prefetched_count_.load(std::memory_order_acquire) == 0) return;
-  MutexLock prefetch_lock(prefetch_mu_);
-  auto it = std::find(prefetched_.begin(), prefetched_.end(), id);
-  if (it != prefetched_.end()) {
-    stats_.Record(Ticker::kPrefetchUseful);
-    prefetched_.erase(it);
-    prefetched_count_.store(prefetched_.size(), std::memory_order_release);
+Result<AdmissionController::InflightGrant> HeavenDb::ClassifyFetches(
+    const DbSnapshot& snap, const QueryContext& ctx,
+    const std::vector<SuperTileId>& ids,
+    std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out,
+    FetchBatch* batch, FetchWaits* waits) {
+  for (SuperTileId id : ids) {
+    if (out->count(id) > 0) continue;
+    for (;;) {
+      std::shared_ptr<const SuperTile> cached = cache_->Lookup(id);
+      QueryProfiler::Count(cached != nullptr ? &QueryProfile::cache_hits
+                                             : &QueryProfile::cache_misses);
+      if (cached != nullptr) {
+        out->emplace(id, std::move(cached));
+        break;
+      }
+      MutexLock fetch_lock(fetch_mu_);
+      auto flight_it = inflight_.find(id);
+      if (flight_it != inflight_.end()) {
+        // Single-flight: a concurrent fetch of this super-tile is already
+        // running — wait for its result instead of touching the tape.
+        stats_.Record(Ticker::kFetchCoalesced);
+        QueryProfiler::Count(&QueryProfile::fetches_coalesced);
+        waits->emplace_back(id, flight_it->second->future);
+        break;
+      }
+      if (cache_->Contains(id)) {
+        // A leader finished between our Lookup miss and taking fetch_mu_;
+        // loop to take the hit through Lookup (Contains perturbs nothing,
+        // so the serial ticker sequence is unchanged).
+        continue;
+      }
+      const SuperTileMeta* meta = snap.FindSuperTile(id);
+      if (meta == nullptr) {
+        return Status::NotFound("super-tile " + std::to_string(id) +
+                                " not registered");
+      }
+      if (controller_ != nullptr && BrownoutActive()) {
+        // Degraded mode: cache hits (above) and coalesced waits on fetches
+        // already running still succeed, but this query must not become a
+        // new tape-fetch leader.
+        stats_.Record(Ticker::kBrownoutRefusals);
+        return Status::ResourceExhausted(
+            "brownout: super-tile " + std::to_string(id) +
+            " is not cached and tape fetches are suspended");
+      }
+      ClaimFetch(*meta, batch);
+      break;
+    }
   }
+  if (batch->requests.empty()) return AdmissionController::InflightGrant();
+
+  batch->requests = ScheduleRequests(std::move(batch->requests), *library_,
+                                     options_.schedule_policy);
+  if (ctx.deadline.has_deadline()) {
+    // Cost-model pre-admission: a plan that provably cannot finish within
+    // the remaining deadline fails in O(n) — before any robot motion, seek
+    // or transfer is charged to the simulation.
+    const double slack = controller_ != nullptr
+                             ? controller_->options().preadmission_slack
+                             : 1.0;
+    const double estimate_s = EstimatePlanSeconds(batch->requests, *library_);
+    const double remaining_s = ctx.deadline.remaining_s();
+    if (estimate_s > remaining_s * slack) {
+      stats_.Record(Ticker::kAdmissionPreadmitRejects);
+      return Status::DeadlineExceeded(
+          "pre-admission: plan needs an estimated " +
+          std::to_string(estimate_s) + "s of tape time but only " +
+          std::to_string(remaining_s) + "s of the deadline remain");
+    }
+  }
+  if (controller_ == nullptr || !controller_->enabled()) {
+    return AdmissionController::InflightGrant();
+  }
+  uint64_t batch_bytes = 0;
+  for (const SuperTileRequest& request : batch->requests) {
+    batch_bytes += request.size_bytes;
+  }
+  return controller_->AcquireInflight(batch_bytes, batch->requests.size());
 }
 
-// On any error the promises a fetch call registered must still be
-// fulfilled, or coalesced waiters would block forever.
-void HeavenDb::FailOwnedFetches(
-    std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-    const Status& status) {
-  if (owned->empty()) return;
-  {
-    MutexLock fetch_lock(fetch_mu_);
-    for (auto& [id, flight] : *owned) inflight_.erase(id);
-  }
-  for (auto& [id, flight] : *owned) {
-    flight->promise.set_value(FetchResult(status));
-  }
+void HeavenDb::ClaimFetch(const SuperTileMeta& meta, FetchBatch* batch) {
+  auto flight = std::make_shared<InflightFetch>();
+  flight->future = flight->promise.get_future().share();
+  inflight_.emplace(meta.id, flight);
+  batch->owned.emplace(meta.id, std::move(flight));
+  batch->requests.push_back(
+      {meta.id, meta.medium, meta.offset, meta.size_bytes, meta.crc32c});
 }
 
-void HeavenDb::SettlePartialFetches(
-    std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-    const std::vector<SuperTileRequest>& requests,
-    const std::vector<std::shared_ptr<const SuperTile>>& decoded,
+bool HeavenDb::CachedOrInflight(SuperTileId id) const {
+  return inflight_.find(id) != inflight_.end() || cache_->Contains(id);
+}
+
+Status HeavenDb::TransferFetches(
+    const QueryContext& ctx, bool prefetched, FetchBatch* batch,
+    std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out) {
+  const std::vector<SuperTileRequest>& requests = batch->requests;
+  // Each transferred container is decoded by a pool task while the drive
+  // transfers the next one (inline on a zero-worker pool); the transfer
+  // loop stays serial in batch order, so the tape clock and seek pattern
+  // are untouched. This thread admits the decoded super-tiles to the cache
+  // in batch order, at most one task per worker behind the transfer loop:
+  // the cache's LRU order, and every later hit, eviction and seek, is the
+  // same for every thread count. Every decode task carries the caller's
+  // trace context, so each is joined before this function returns, on
+  // every path.
+  std::vector<double> fetch_seconds(requests.size());
+  std::deque<std::future<Result<SuperTile>>> pending;
+  size_t admitted = 0;  // requests before this one have been joined
+  // Joins the oldest pending decode and admits its super-tile. The
+  // cancellation checkpoint runs after admission, so a cancelled query
+  // keeps the transfer it paid for — a rerun takes the cache hit.
+  auto admit_next = [&]() -> Status {
+    Result<SuperTile> st = pending.front().get();
+    pending.pop_front();
+    const size_t i = admitted++;
+    HEAVEN_RETURN_IF_ERROR(st.status());
+    auto shared = std::make_shared<const SuperTile>(std::move(st).value());
+    cache_->Insert(requests[i].id, shared, requests[i].size_bytes, prefetched);
+    stats_.Record(Ticker::kSuperTilesRead);
+    stats_.Record(Ticker::kSuperTileBytesRead, requests[i].size_bytes);
+    stats_.RecordHistogram(HistogramKind::kSuperTileFetchSeconds,
+                           fetch_seconds[i]);
+    if (prefetched) stats_.Record(Ticker::kPrefetchIssued);
+    out->emplace(requests[i].id, std::move(shared));
+    if (!ctx.unconstrained()) return ctx.Check("decode");
+    return Status::Ok();
+  };
+  Status status = Status::Ok();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const SuperTileRequest& request = requests[i];
+    if (!ctx.unconstrained()) {
+      // Cooperative checkpoint at the container boundary: a cancelled or
+      // expired query stops between transfers, never mid-container.
+      // Everything already decoded stays admitted to the cache.
+      status = ctx.Check("tape fetch");
+      if (!status.ok()) break;
+    }
+    const double fetch_before = library_->ElapsedSeconds();
+    std::string container;
+    {
+      ScopedSpan fetch_span(stats_.trace(), "supertile.fetch",
+                            ProfileStage::kTapeFetch);
+      fetch_span.SetBytes(request.size_bytes);
+      status = ReadContainerVerified(request.id, ctx, request.medium,
+                                     request.offset, request.size_bytes,
+                                     request.crc32c, &container);
+    }
+    if (!status.ok()) break;
+    fetch_seconds[i] = library_->ElapsedSeconds() - fetch_before;
+    pending.push_back(pool_->Submit(
+        [this, c = std::move(container)]() -> Result<SuperTile> {
+          ScopedSpan decode_span(stats_.trace(), "supertile.decode",
+                                 ProfileStage::kDecode);
+          decode_span.SetBytes(c.size());
+          return SuperTile::Deserialize(c);
+        }));
+    if (pending.size() > pool_->num_threads()) {
+      status = admit_next();
+      if (!status.ok()) break;
+    }
+  }
+  // Join the decodes still in flight. Their transfers are paid for, so
+  // they are admitted even after an error.
+  while (!pending.empty()) {
+    Status s = admit_next();
+    if (status.ok()) status = s;
+  }
+  SettleFetches(batch, *out, status);
+  return status;
+}
+
+void HeavenDb::SettleFetches(
+    FetchBatch* batch,
+    const std::map<SuperTileId, std::shared_ptr<const SuperTile>>& decoded,
     const Status& status) {
-  if (owned->empty()) return;
   {
     MutexLock fetch_lock(fetch_mu_);
-    for (auto& [id, flight] : *owned) inflight_.erase(id);
+    for (const auto& [id, flight] : batch->owned) inflight_.erase(id);
   }
-  // Containers that made it through decode are already cache-admitted:
-  // coalesced waiters get the value (their queries are not the cancelled
-  // one), promises of never-transferred containers fail with `status`.
-  std::set<SuperTileId> fulfilled;
-  for (size_t i = 0; i < requests.size() && i < decoded.size(); ++i) {
-    if (decoded[i] == nullptr) continue;
-    auto it = owned->find(requests[i].id);
-    if (it == owned->end()) continue;
-    it->second->promise.set_value(FetchResult(decoded[i]));
-    fulfilled.insert(requests[i].id);
-  }
-  for (auto& [id, flight] : *owned) {
-    if (fulfilled.count(id) > 0) continue;
-    flight->promise.set_value(FetchResult(status));
+  for (const auto& [id, flight] : batch->owned) {
+    const auto it = decoded.find(id);
+    flight->promise.set_value(it != decoded.end() ? FetchResult(it->second)
+                                                  : FetchResult(status));
   }
 }
 
@@ -1346,17 +1299,6 @@ Status HeavenDb::ReadContainerVerified(SuperTileId id, const QueryContext& ctx,
     return "super-tile " + std::to_string(id) + " (medium " +
            std::to_string(medium) + " @" + std::to_string(offset) + " +" +
            std::to_string(size_bytes) + ")";
-  };
-  // One transfer, re-driven through the retry policy on transient tape
-  // errors. The first attempt is the plain legacy read; retries charge
-  // their backoff to the tape clock and count Ticker::kTapeRetries.
-  auto fetch = [&]() -> Status {
-    return RetryTapeOp(options_.tape_retry, library_->clock(), &stats_,
-                       ctx.deadline, ctx.cancel.get(), [&]() -> Status {
-                         out->clear();
-                         return library_->ReadAt(medium, offset, size_bytes,
-                                                 out);
-                       });
   };
   // CRC verification costs wall time only (recorded for the benchmark),
   // never simulated time: a real drive verifies while streaming.
@@ -1372,25 +1314,30 @@ Status HeavenDb::ReadContainerVerified(SuperTileId id, const QueryContext& ctx,
             .count());
     return match;
   };
-
-  Status status = fetch();
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "fetch of " + where() + " failed: " + status.message());
-  }
-  if (crc_matches()) return Status::Ok();
   // A mismatch may be a transient read-channel flip — re-fetch exactly
   // once. A second mismatch means the stored container itself is damaged.
-  stats_.Record(Ticker::kCrcMismatches);
-  HEAVEN_LOG(Warning) << where()
-                      << " failed CRC verification; re-fetching once";
-  status = fetch();
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "re-fetch of " + where() + " failed: " + status.message());
+  for (const bool refetch : {false, true}) {
+    // One transfer, re-driven through the retry policy on transient tape
+    // errors. The first attempt is the plain legacy read; retries charge
+    // their backoff to the tape clock and count Ticker::kTapeRetries.
+    const Status status = RetryTapeOp(
+        options_.tape_retry, library_->clock(), &stats_, ctx.deadline,
+        ctx.cancel.get(), [&]() -> Status {
+          out->clear();
+          return library_->ReadAt(medium, offset, size_bytes, out);
+        });
+    if (!status.ok()) {
+      return Status(status.code(), (refetch ? "re-fetch of " : "fetch of ") +
+                                       where() + " failed: " +
+                                       status.message());
+    }
+    if (crc_matches()) return Status::Ok();
+    stats_.Record(Ticker::kCrcMismatches);
+    if (!refetch) {
+      HEAVEN_LOG(Warning) << where()
+                          << " failed CRC verification; re-fetching once";
+    }
   }
-  if (crc_matches()) return Status::Ok();
-  stats_.Record(Ticker::kCrcMismatches);
   return Status::Corruption("container of " + where() +
                             " failed CRC verification after re-fetch");
 }
@@ -1399,48 +1346,33 @@ void HeavenDb::MaybePrefetch(const DbSnapshot& snap, MediumId medium,
                              uint64_t last_end_offset) {
   if (!options_.enable_prefetch || options_.prefetch_depth == 0) return;
   ScopedSpan span(stats_.trace(), "prefetch");
-  std::vector<SuperTileId> cached;
-  snap.registry.ForEach([&](SuperTileId id, const SuperTileMeta&) {
-    if (cache_->Contains(id)) cached.push_back(id);
-  });
-  const std::vector<SuperTileId> targets =
-      ChoosePrefetchTargets(snap.registry, medium, last_end_offset,
-                            options_.prefetch_depth, cached, &stats_,
-                            options_.enable_index);
-  for (SuperTileId id : targets) {
+  FetchBatch batch;
+  for (SuperTileId id : ChoosePrefetchTargets(
+           snap.registry, medium, last_end_offset, options_.prefetch_depth,
+           [this](SuperTileId candidate) {
+             MutexLock fetch_lock(fetch_mu_);
+             return CachedOrInflight(candidate);
+           },
+           &stats_, options_.enable_index)) {
     const SuperTileMeta& meta = *snap.FindSuperTile(id);
     if (controller_ != nullptr && controller_->enabled() &&
         !controller_->AdmitPrefetch(meta.size_bytes)) {
       // Strictly lower priority than admitted queries: with foreground
       // work queued or the in-flight budget occupied, speculative reads
       // yield the drives (counted by `prefetch.rejected`).
-      return;
+      break;
     }
-    std::string container;
-    // Background read: charges tape time but not the client clock.
-    Status status =
-        library_->ReadAt(meta.medium, meta.offset, meta.size_bytes, &container);
-    if (!status.ok()) {
-      stats_.Record(Ticker::kPrefetchErrors);
-      HEAVEN_LOG(Warning) << "prefetch read of super-tile " << id
-                          << " failed: " << status.ToString();
-      return;
-    }
-    Result<SuperTile> st = SuperTile::Deserialize(container);
-    if (!st.ok()) {
-      stats_.Record(Ticker::kPrefetchErrors);
-      HEAVEN_LOG(Warning) << "prefetch decode of super-tile " << id
-                          << " failed: " << st.status().ToString();
-      return;
-    }
-    cache_->Insert(id, std::make_shared<const SuperTile>(std::move(st).value()),
-                   meta.size_bytes);
-    {
-      MutexLock prefetch_lock(prefetch_mu_);
-      prefetched_.push_back(id);
-      prefetched_count_.store(prefetched_.size(), std::memory_order_release);
-    }
-    stats_.Record(Ticker::kPrefetchIssued);
+    MutexLock fetch_lock(fetch_mu_);
+    // A query may have claimed or admitted it since the choice.
+    if (!CachedOrInflight(id)) ClaimFetch(meta, &batch);
+  }
+  if (batch.requests.empty()) return;
+  std::map<SuperTileId, std::shared_ptr<const SuperTile>> decoded;
+  const Status status =
+      TransferFetches(QueryContext(), /*prefetched=*/true, &batch, &decoded);
+  if (!status.ok()) {
+    stats_.Record(Ticker::kPrefetchErrors);
+    HEAVEN_LOG(Warning) << "prefetch failed: " << status.ToString();
   }
 }
 
@@ -1550,15 +1482,7 @@ Status HeavenDb::RunReadPipeline(const DbSnapshot& snap,
                                  const char* part_span, QueryRecord* query,
                                  const TileSink& sink) {
   std::vector<SuperTileId> needed_sts;
-  for (const ReadPart& part : parts) {
-    for (const TileDescriptor& tile : part.tiles) {
-      if (tile.location == TileLocation::kTertiary &&
-          std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-              needed_sts.end()) {
-        needed_sts.push_back(tile.super_tile);
-      }
-    }
-  }
+  for (const ReadPart& part : parts) AddTapeSuperTiles(part.tiles, &needed_sts);
   std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
   HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -1931,13 +1855,7 @@ Status HeavenDb::StageTilesToDisk(Mutation& m, const DbSnapshot& snap,
   // At a mutator's start the published snapshot equals the live state, so
   // the snapshot-parameterized fetch path serves the mutator too.
   std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : tiles) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
+  AddTapeSuperTiles(tiles, &needed_sts);
   std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
   HEAVEN_RETURN_IF_ERROR(
       FetchSuperTiles(snap, QueryContext(), needed_sts, &supertiles));

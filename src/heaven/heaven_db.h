@@ -605,16 +605,23 @@ class HeavenDb {
                       const ObjectFrame* frame, MddArray* result);
 
   /// Single-flight fetch coalescing: at most one tape fetch per super-tile
-  /// is in flight at a time. A miss registers a promise here (the leader);
-  /// concurrent misses on the same id find the entry, count
-  /// Ticker::kFetchCoalesced and wait on the shared future instead of
-  /// touching the tape. Leaders always fulfil their own promises before
-  /// waiting on foreign ones, so cross-leader waits cannot cycle.
+  /// is in flight at a time. A miss (or a prefetch) registers a promise
+  /// here and leads the fetch; concurrent misses on the same id find the
+  /// entry, count Ticker::kFetchCoalesced and wait on the shared future
+  /// instead of touching the tape. Leaders settle their own promises
+  /// before waiting on foreign ones, so cross-leader waits cannot cycle.
   using FetchResult = Result<std::shared_ptr<const SuperTile>>;
   struct InflightFetch {
     std::promise<FetchResult> promise;
     std::shared_future<FetchResult> future;
   };
+  /// The fetches one call leads, in transfer order, with their promises.
+  struct FetchBatch {
+    std::vector<SuperTileRequest> requests;
+    std::map<SuperTileId, std::shared_ptr<InflightFetch>> owned;
+  };
+  using FetchWaits =
+      std::vector<std::pair<SuperTileId, std::shared_future<FetchResult>>>;
 
   /// Fetches the given super-tiles from tape (scheduled), populating the
   /// cache; returns them keyed by id. Metadata comes from `snap`, never
@@ -627,23 +634,35 @@ class HeavenDb {
       const std::vector<SuperTileId>& ids,
       std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out);
 
-  /// Counts a cache hit on a prefetched super-tile (prefetch usefulness).
-  void NotePrefetchHit(SuperTileId id) EXCLUDES(prefetch_mu_);
+  /// FetchSuperTiles' classification: cache hits go to `out`, fetches led
+  /// elsewhere to `waits`, the rest are claimed into `batch`, scheduled
+  /// and gated (brownout, deadline pre-admission, in-flight budget).
+  /// Returns the in-flight grant; on an error the caller settles `batch`.
+  Result<AdmissionController::InflightGrant> ClassifyFetches(
+      const DbSnapshot& snap, const QueryContext& ctx,
+      const std::vector<SuperTileId>& ids,
+      std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out,
+      FetchBatch* batch, FetchWaits* waits) EXCLUDES(fetch_mu_);
 
-  /// Fails every single-flight promise this fetch call registered —
-  /// coalesced waiters must never block forever on an abandoned leader.
-  void FailOwnedFetches(
-      std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-      const Status& status) EXCLUDES(fetch_mu_);
+  void ClaimFetch(const SuperTileMeta& meta, FetchBatch* batch)
+      REQUIRES(fetch_mu_);
+  bool CachedOrInflight(SuperTileId id) const REQUIRES(fetch_mu_);
 
-  /// Error epilogue of a partially completed fetch batch: promises whose
-  /// container already decoded are fulfilled with the super-tile (the work
-  /// is done and cached — a cancelled query must not waste it for
-  /// coalesced waiters), the rest fail with `status`.
-  void SettlePartialFetches(
-      std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-      const std::vector<SuperTileRequest>& requests,
-      const std::vector<std::shared_ptr<const SuperTile>>& decoded,
+  /// The one container-read loop: verified transfers in batch order,
+  /// pooled decode, cache admission in order (flagged when `prefetched`)
+  /// and `ctx`'s checkpoints. Decoded super-tiles go to `out`. Every exit
+  /// settles the batch once.
+  Status TransferFetches(
+      const QueryContext& ctx, bool prefetched, FetchBatch* batch,
+      std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out)
+      EXCLUDES(fetch_mu_);
+
+  /// Erases the batch's in-flight entries, then fulfils each promise with
+  /// its decoded super-tile or else `status`: waiters never block on an
+  /// abandoned leader, and a cancelled leader's finished work serves them.
+  void SettleFetches(
+      FetchBatch* batch,
+      const std::map<SuperTileId, std::shared_ptr<const SuperTile>>& decoded,
       const Status& status) EXCLUDES(fetch_mu_);
 
   /// Reads one container with bounded retry and verifies it against
@@ -656,8 +675,11 @@ class HeavenDb {
                                uint64_t size_bytes, uint32_t crc32c,
                                std::string* out);
 
+  /// Read-ahead after a batch that ended on `medium` at `last_end_offset`:
+  /// claims the next containers there and runs them through
+  /// TransferFetches, off the client clock; errors only count.
   void MaybePrefetch(const DbSnapshot& snap, MediumId medium,
-                     uint64_t last_end_offset);
+                     uint64_t last_end_offset) EXCLUDES(fetch_mu_);
 
   /// TCT thread body. Runs exports via ExportObjectSync, which takes
   /// db_mu_ itself — the worker must enter with no capability held.
@@ -709,7 +731,7 @@ class HeavenDb {
   /// calls REQUIRES(db_mu_) Stage… bodies instead.
   /// The root of the lock order: HeavenDb's own locks below declare
   /// ACQUIRED_AFTER it, other classes name it as "HeavenDb::db_mu_".
-  Mutex db_mu_ ACQUIRED_BEFORE(prefetch_mu_, fetch_mu_, tct_mu_);
+  Mutex db_mu_ ACQUIRED_BEFORE(fetch_mu_, tct_mu_);
   /// Live registry, written only under db_mu_. Copy-on-write
   /// shards: PublishSnapshot captures a View in O(#shards), sharing every
   /// shard a mutation did not touch with older versions.
@@ -726,14 +748,6 @@ class HeavenDb {
   /// only retried when this is non-zero or the version advanced — serial
   /// workloads keep the exact legacy error surface, clocks and tickers.
   std::atomic<int> active_mutators_{0};
-  /// Guards prefetched_ (prefetch usefulness accounting), which cache-hit
-  /// readers mutate lock-free on the snapshot read path. prefetched_count_
-  /// mirrors prefetched_.size() so the hot hit path can skip the mutex
-  /// when no prefetch is outstanding.
-  Mutex prefetch_mu_ ACQUIRED_AFTER(db_mu_);
-  std::vector<SuperTileId> prefetched_ GUARDED_BY(prefetch_mu_);
-  std::atomic<size_t> prefetched_count_{0};
-
   mutable Mutex fetch_mu_ ACQUIRED_AFTER(db_mu_);
   std::map<SuperTileId, std::shared_ptr<InflightFetch>> inflight_
       GUARDED_BY(fetch_mu_);

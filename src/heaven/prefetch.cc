@@ -9,7 +9,7 @@ namespace heaven {
 std::vector<SuperTileId> ChoosePrefetchTargets(
     const SnapshotRegistryView& registry, MediumId medium,
     uint64_t last_end_offset, size_t max_count,
-    const std::vector<SuperTileId>& already_cached, Statistics* stats,
+    const std::function<bool(SuperTileId)>& skip, Statistics* stats,
     bool consult_index) {
   struct Candidate {
     uint64_t offset;
@@ -19,10 +19,7 @@ std::vector<SuperTileId> ChoosePrefetchTargets(
   registry.ForEach([&](SuperTileId id, const SuperTileMeta& meta) {
     if (meta.medium != medium) return;
     if (meta.offset < last_end_offset) return;
-    if (std::find(already_cached.begin(), already_cached.end(), id) !=
-        already_cached.end()) {
-      return;
-    }
+    if (skip(id)) return;
     if (consult_index && meta.index != nullptr && meta.index->all_zero()) {
       // The pruned read path never requests an all-zero container, so
       // speculatively staging it would only evict useful cache entries.

@@ -2,6 +2,7 @@
 #define HEAVEN_HEAVEN_PREFETCH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "heaven/db_snapshot.h"
@@ -17,9 +18,10 @@ namespace heaven {
 /// the likeliest next requests of a sweeping query pattern).
 ///
 /// Returns up to `max_count` super-tile ids from `registry` that start at
-/// or after `last_end_offset` on `medium`, nearest first, skipping ids in
-/// `already_cached`. When `stats` is given, the number of candidates
-/// considered is counted under Ticker::kPrefetchCandidates.
+/// or after `last_end_offset` on `medium`, nearest first, skipping ids for
+/// which `skip` holds (cached or already being fetched). When `stats` is
+/// given, the number of candidates considered is counted under
+/// Ticker::kPrefetchCandidates.
 ///
 /// With `consult_index` set, candidates whose bitmap index proves the
 /// whole container all-zero are skipped (counted under
@@ -28,7 +30,7 @@ namespace heaven {
 std::vector<SuperTileId> ChoosePrefetchTargets(
     const SnapshotRegistryView& registry, MediumId medium,
     uint64_t last_end_offset, size_t max_count,
-    const std::vector<SuperTileId>& already_cached,
+    const std::function<bool(SuperTileId)>& skip,
     Statistics* stats = nullptr, bool consult_index = false);
 
 }  // namespace heaven

@@ -16,7 +16,8 @@ struct SuperTileRequest {
   MediumId medium = 0;
   uint64_t offset = 0;
   uint64_t size_bytes = 0;
-  /// Expected container CRC32C (0 = unknown); verified after the transfer.
+  /// Expected container CRC32C from the registry; verified after the
+  /// transfer (0 is an ordinary CRC value).
   uint32_t crc32c = 0;
 };
 

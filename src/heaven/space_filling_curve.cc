@@ -6,11 +6,32 @@
 #include <string>
 
 #include "common/logging.h"
-#include "heaven/zorder.h"
 
 namespace heaven {
 
 namespace {
+
+/// Z-order (Morton) key: interleaves the low `bits_per_dim` bits of each
+/// origin-shifted coordinate, MSB-first. Coordinates below the origin
+/// clamp to zero; the usable bits are capped so the key fits in 64 bits.
+uint64_t ZOrderKey(const MdPoint& p, const MdPoint& origin,
+                   int bits_per_dim) {
+  HEAVEN_CHECK(p.dims() == origin.dims());
+  const size_t dims = p.dims();
+  HEAVEN_CHECK(dims > 0);
+  const int usable_bits =
+      std::min<int>(bits_per_dim, static_cast<int>(64 / dims));
+  uint64_t key = 0;
+  for (int bit = usable_bits - 1; bit >= 0; --bit) {
+    for (size_t d = 0; d < dims; ++d) {
+      const int64_t shifted = p[d] - origin[d];
+      const uint64_t coord =
+          shifted < 0 ? 0 : static_cast<uint64_t>(shifted);
+      key = (key << 1) | ((coord >> bit) & 1);
+    }
+  }
+  return key;
+}
 
 class ZOrderCurve final : public SpaceFillingCurve {
  public:

@@ -122,10 +122,8 @@ Status StorageEngine::Recover() {
   if (env_->FileExists(checkpoint_path)) {
     HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
                             env_->OpenFile(checkpoint_path));
-    HEAVEN_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-    if (size > 0) {
-      std::string image;
-      HEAVEN_RETURN_IF_ERROR(file->ReadAt(0, size, &image));
+    HEAVEN_ASSIGN_OR_RETURN(const std::string image, file->ReadAll());
+    if (!image.empty()) {
       Decoder dec(image);
       uint32_t crc = 0;
       std::string blob_dir;

@@ -52,11 +52,7 @@ Status TapeLibrary::LoadPersistedMedia() {
   MutexLock lock(mu_);
   for (MediumId m = 0; m < media_.size(); ++m) {
     HEAVEN_ASSIGN_OR_RETURN(media_[m].file, env_->OpenFile(MediumPath(m)));
-    HEAVEN_ASSIGN_OR_RETURN(uint64_t size, media_[m].file->Size());
-    if (size > 0) {
-      HEAVEN_RETURN_IF_ERROR(
-          media_[m].file->ReadAt(0, size, &media_[m].data));
-    }
+    HEAVEN_ASSIGN_OR_RETURN(media_[m].data, media_[m].file->ReadAll());
   }
   return Status::Ok();
 }

@@ -56,6 +56,25 @@ TEST(CacheTest, ReinsertReplacesAndAdjustsBytes) {
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
+TEST(CacheTest, FirstHitOnPrefetchedEntryIsUseful) {
+  Statistics stats;
+  SuperTileCache cache(Opts(1000, EvictionPolicy::kLru), &stats);
+  auto useful = [&] { return stats.Get(Ticker::kPrefetchUseful); };
+  cache.Insert(1, MakeSt(1), 100, /*prefetched=*/true);
+  ASSERT_NE(cache.Lookup(1), nullptr);
+  ASSERT_NE(cache.Lookup(1), nullptr);
+  EXPECT_EQ(useful(), 1u);  // only the first hit counts
+  // A re-insert replaces the flag; an erase forgets it.
+  cache.Insert(2, MakeSt(2), 100, /*prefetched=*/true);
+  cache.Insert(2, MakeSt(2), 100);
+  cache.Insert(3, MakeSt(3), 100, /*prefetched=*/true);
+  cache.Erase(3);
+  cache.Insert(3, MakeSt(3), 100);
+  ASSERT_NE(cache.Lookup(2), nullptr);
+  ASSERT_NE(cache.Lookup(3), nullptr);
+  EXPECT_EQ(useful(), 1u);
+}
+
 TEST(CacheTest, EraseAndClear) {
   Statistics stats;
   SuperTileCache cache(Opts(1000, EvictionPolicy::kLru), &stats);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <future>
@@ -323,6 +324,85 @@ TEST_F(ConcurrencyStressTest, ColdMissStormFetchesEachSuperTileOnce) {
   const uint64_t coalesced = db_->stats()->Get(Ticker::kFetchCoalesced);
   const uint64_t hits = db_->stats()->Get(Ticker::kCacheHits);
   EXPECT_GE(coalesced + hits, (kClients - 1) * unique_sts);
+}
+
+// Cold storm with prefetch on: clients read neighbouring super-tiles of
+// one medium while each read's prefetch claims the containers after it.
+// Query and prefetch fetches share one single-flight table, so the tape
+// serves each super-tile once, whoever asked for it first.
+TEST(PrefetchStormTest, ColdStormReadsEachSuperTileOnce) {
+  MemEnv env;
+  HeavenOptions options;
+  options.library.profile = MidTapeProfile();
+  options.library.num_drives = 2;
+  options.library.num_media = 8;
+  options.disk_tile_bytes = 2048;
+  options.supertile_bytes = 4 << 10;
+  options.num_threads = 4;
+  options.enable_prefetch = true;
+  options.prefetch_depth = 2;
+  auto opened = HeavenDb::Open(&env, "/db", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  HeavenDb* db = opened->get();
+  auto coll = db->CreateCollection("c");
+  ASSERT_TRUE(coll.ok());
+  const MdInterval domain({0, 0}, {63, 63});
+  const MddArray full = Ramp(domain);
+  auto id = db->InsertObject(*coll, "storm", full);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(db->ExportObject(*id).ok());
+
+  std::vector<SuperTileMeta> sts = db->RegistrySnapshot();
+  std::sort(sts.begin(), sts.end(),
+            [](const SuperTileMeta& a, const SuperTileMeta& b) {
+              return a.offset < b.offset;
+            });
+  ASSERT_GE(sts.size(), 6u);
+  // One tile of each super-tile, in medium order.
+  std::vector<MdInterval> tile_of;
+  for (const SuperTileMeta& meta : sts) {
+    ASSERT_EQ(meta.medium, sts[0].medium);
+    for (const TileDescriptor& tile : db->engine()->catalog()->ListTiles(*id)) {
+      if (tile.super_tile == meta.id) {
+        tile_of.push_back(tile.domain);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(tile_of.size(), sts.size());
+  db->cache()->Clear();  // fully cold
+  const Statistics& stats = *db->stats();
+  const uint64_t tape_reads_before = stats.Get(Ticker::kTapeReadRequests);
+  const uint64_t st_reads_before = stats.Get(Ticker::kSuperTilesRead);
+
+  constexpr size_t kClients = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      // Each client reads two neighbours; the next clients' tiles are its
+      // prefetch targets.
+      for (size_t k : {c, c + 1}) {
+        const MdInterval& region = tile_of[k % tile_of.size()];
+        auto got = db->ReadRegion(*id, region);
+        auto expected = Trim(full, region);
+        if (!got.ok() || !expected.ok() || *got != *expected) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Nothing was evicted, so the cache holds every super-tile read.
+  const uint64_t unique_read = db->cache()->entry_count();
+  EXPECT_GE(unique_read, std::min(kClients + 1, sts.size()));
+  EXPECT_EQ(stats.Get(Ticker::kTapeReadRequests) - tape_reads_before,
+            unique_read);
+  EXPECT_EQ(stats.Get(Ticker::kSuperTilesRead) - st_reads_before,
+            unique_read);
+  EXPECT_EQ(stats.Get(Ticker::kPrefetchErrors), 0u);
 }
 
 // The batch path and the export pipeline agree with the serial baseline:

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -124,6 +125,32 @@ TEST(RetryPolicyTest, NonRetryableErrorSurfacesImmediately) {
   EXPECT_DOUBLE_EQ(clock.Now(), 0.0);
 }
 
+TEST(FaultInjectionEnvTest, TruncateCountsAgainstTheWriteLimit) {
+  MemEnv base;
+  FaultPolicy policy;  // every random write fault armed
+  policy.enabled = true;
+  policy.seed = 3;
+  policy.env_write_error_p = 1.0;
+  policy.torn_write_p = 1.0;
+  FaultInjectionEnv env(&base, policy);
+  auto file = env.OpenFile("/f");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(base.OpenFile("/f").value()->Append("0123456789").ok());
+  // Without a limit a truncate passes and draws from no fault stream.
+  ASSERT_TRUE((*file)->Truncate(9).ok());
+  EXPECT_EQ(env.injector()->injected(), 0u);
+
+  const uint64_t before = env.writes_issued();
+  env.SetWriteLimit(2);
+  ASSERT_TRUE((*file)->Truncate(8).ok());   // write 1 of 2
+  EXPECT_FALSE((*file)->Truncate(4).ok());  // the cut: it never happened
+  EXPECT_FALSE((*file)->Truncate(0).ok());  // after the cut
+  EXPECT_EQ(env.writes_issued() - before, 3u);
+  EXPECT_EQ(base.GetFileSize("/f").value(), 8u);
+  env.ClearWriteLimit();
+  EXPECT_EQ(env.injector()->injected(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Export journal framing.
 // ---------------------------------------------------------------------------
@@ -138,7 +165,7 @@ TEST(ExportJournalTest, RecordsSurviveReopen) {
     ASSERT_TRUE((*journal)->LogPending(7).ok());
     ASSERT_TRUE((*journal)->LogIntent(7).ok());
     ASSERT_TRUE((*journal)->LogPending(8).ok());
-    // Object 8 stays queued, so the close is a record, not a truncate.
+    // Object 8 stays queued, so the close rewrites rather than truncates.
     ASSERT_TRUE((*journal)->LogCommitted(7).ok());
     ASSERT_TRUE((*journal)->LogIntent(0).ok());
   }
@@ -175,6 +202,60 @@ TEST(ExportJournalTest, ClosingTheLastOpenEntryTruncates) {
   ASSERT_TRUE((*journal)->LogCommitted(6).ok());
   EXPECT_EQ(size(), 0u);
   EXPECT_TRUE((*journal)->pending().empty());
+}
+
+// Kill a close that leaves queued exports at every write point of its
+// rewrite: the reopened journal replays the state before or after the
+// close, never less than what stays queued.
+TEST(ExportJournalTest, InterruptedRewriteKeepsEveryQueuedExport) {
+  constexpr uint64_t kFrame = 17;  // 8-byte header + kind + object id
+  auto prepare = [](Env* env) {
+    auto journal = ExportJournal::Open(env, "/j");
+    HEAVEN_CHECK(journal.ok());
+    HEAVEN_CHECK((*journal)->LogPending(1).ok());
+    HEAVEN_CHECK((*journal)->LogPending(2).ok());
+    HEAVEN_CHECK((*journal)->LogPending(3).ok());
+    HEAVEN_CHECK((*journal)->LogIntent(2).ok());
+    return std::move(journal).value();
+  };
+  uint64_t writes = 0;
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    auto journal = prepare(&env);
+    const uint64_t before = env.writes_issued();
+    ASSERT_TRUE(journal->LogCommitted(2).ok());
+    writes = env.writes_issued() - before;
+    EXPECT_EQ(env.GetFileSize("/j").value(), 2 * kFrame);
+    EXPECT_FALSE(env.FileExists("/j.rewrite"));
+  }
+  ASSERT_GT(writes, 0u);
+  for (uint64_t limit = 1; limit <= writes + 1; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    {
+      auto journal = prepare(&env);
+      env.SetWriteLimit(limit);
+      const Status closed = journal->LogCommitted(2);
+      env.ClearWriteLimit();
+      EXPECT_EQ(closed.ok(), limit > writes);
+    }
+    auto journal = ExportJournal::Open(&env, "/j");
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    const std::set<ObjectId> pending = (*journal)->pending();
+    EXPECT_TRUE(pending == std::set<ObjectId>({1, 3}) ||
+                pending == std::set<ObjectId>({1, 2, 3}));
+    if (pending.size() == 2) {
+      EXPECT_FALSE((*journal)->intent_open());
+      EXPECT_EQ(env.GetFileSize("/j").value(), 2 * kFrame);
+    }
+    EXPECT_FALSE(env.FileExists("/j.rewrite"));
+    // The reopened journal keeps working.
+    ASSERT_TRUE((*journal)->LogIntent(1).ok());
+    ASSERT_TRUE((*journal)->LogCommitted(1).ok());
+    EXPECT_EQ((*journal)->pending().count(3), 1u);
+  }
 }
 
 TEST(ExportJournalTest, TornTailIsDiscardedAndTruncated) {
@@ -464,6 +545,50 @@ TEST_F(FaultDbTest, TctStickyErrorPropagatesAndClears) {
   EXPECT_EQ(db_->stats()->Get(Ticker::kFaultsInjected), 1u);
 }
 
+// A failed queued export stays open in the journal until a reopen
+// re-drives it; the exports after it must not grow the journal.
+TEST_F(FaultDbTest, FailedTctExportKeepsJournalBounded) {
+  const MdInterval domain({0, 0}, {19, 19});
+  auto tweak = [](HeavenOptions* options) {
+    options->decoupled_export = true;
+    options->fault_policy.enabled = true;
+    options->fault_policy.seed = 17;
+    options->fault_policy.max_faults = 1;
+    options->fault_policy.tape_write_error_p = 1.0;
+  };
+  OpenDb(tweak);
+  auto coll = db_->CreateCollection("c2");
+  ASSERT_TRUE(coll.ok());
+  auto failed = db_->InsertObject(*coll, "failed", Ramp(domain));
+  ASSERT_TRUE(failed.ok());
+  ASSERT_TRUE(db_->ExportObject(*failed).ok());
+  ASSERT_FALSE(db_->DrainExports().ok());  // the injected write error
+  db_->ClearTctError();
+  constexpr uint64_t kFrame = 17;  // one kPending record
+  for (int i = 0; i < 20; ++i) {
+    auto id = db_->InsertObject(*coll, "o" + std::to_string(i), Ramp(domain));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(db_->ExportObject(*id).ok());
+    ASSERT_TRUE(db_->DrainExports().ok());
+    // Only the failed export stays open.
+    ASSERT_EQ(env_->GetFileSize("/db/export.journal").value(), kFrame) << i;
+  }
+  auto on_tape = [&](ObjectId id) {
+    for (const TileDescriptor& tile : db_->engine()->catalog()->ListTiles(id)) {
+      if (tile.location != TileLocation::kTertiary) return false;
+    }
+    return true;
+  };
+  EXPECT_FALSE(on_tape(*failed));
+  OpenDb();  // the reopen re-drives the failed export
+  ASSERT_TRUE(db_->DrainExports().ok());
+  EXPECT_TRUE(on_tape(*failed));
+  EXPECT_EQ(env_->GetFileSize("/db/export.journal").value(), 0u);
+  auto read = db_->ReadObject(*failed);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, Ramp(domain));
+}
+
 TEST_F(FaultDbTest, DisabledPolicyTakesTheExactLegacyPath) {
   // A/B: default options vs. an enabled policy with all-zero probabilities.
   // Clocks, tickers and the span tree must be bit-identical.
@@ -600,6 +725,7 @@ TEST(HsmFaultTest, StagingRetriesTransientTapeErrors) {
 
 enum class TapeWriter {
   kTctExport,
+  kTctExportBehindFailed,  // a failed queued export stays open meanwhile
   kSyncExport,
   kMigrationExport,
   kTileAtATime,
@@ -610,6 +736,8 @@ const char* TapeWriterName(TapeWriter writer) {
   switch (writer) {
     case TapeWriter::kTctExport:
       return "TctExport";
+    case TapeWriter::kTctExportBehindFailed:
+      return "TctExportBehindFailed";
     case TapeWriter::kSyncExport:
       return "SyncExport";
     case TapeWriter::kMigrationExport:
@@ -626,18 +754,43 @@ void PrintTo(TapeWriter writer, std::ostream* os) {
   *os << TapeWriterName(writer);
 }
 
+uint64_t UsedTapeBytes(HeavenDb* db) {
+  uint64_t used = 0;
+  for (uint32_t m = 0; m < db->library()->num_media(); ++m) {
+    used += db->library()->MediumUsedBytes(m).value();
+  }
+  return used;
+}
+
+uint64_t LiveExtentBytes(HeavenDb* db) {
+  uint64_t live = 0;
+  for (const SuperTileMeta& meta : db->RegistrySnapshot()) {
+    live += meta.size_bytes;
+  }
+  return live;
+}
+
 class CrashRecoveryTest : public ::testing::TestWithParam<TapeWriter> {
  protected:
   const MdInterval domain_{{0, 0}, {49, 49}};  // 10 000 bytes of floats
 
-  HeavenOptions Options() const {
+  // `first_open`: the open that prepares and runs the mutator; only there
+  // does the failed export of kTctExportBehindFailed get its fault.
+  HeavenOptions Options(bool first_open = false) const {
     HeavenOptions options;
     options.library.profile = MidTapeProfile();
     options.library.num_drives = 2;
     options.library.num_media = 4;
     options.disk_tile_bytes = 2048;
     options.supertile_bytes = 8 << 10;
-    options.decoupled_export = GetParam() == TapeWriter::kTctExport;
+    options.decoupled_export = GetParam() == TapeWriter::kTctExport ||
+                               GetParam() == TapeWriter::kTctExportBehindFailed;
+    if (first_open && GetParam() == TapeWriter::kTctExportBehindFailed) {
+      options.fault_policy.enabled = true;
+      options.fault_policy.seed = 17;
+      options.fault_policy.max_faults = 1;
+      options.fault_policy.tape_write_error_p = 1.0;
+    }
     if (GetParam() == TapeWriter::kMigrationExport) {
       // The second insert crosses the high watermark; migrating the first
       // object brings the volume back to the low one.
@@ -648,11 +801,19 @@ class CrashRecoveryTest : public ::testing::TestWithParam<TapeWriter> {
   }
 
   // Everything before the power cut: object "a" on disk, or on tape for
-  // the reclaim.
+  // the reclaim; for kTctExportBehindFailed also "b", whose queued export
+  // failed and stays open.
   void Prepare(HeavenDb* db) {
     auto coll = db->CreateCollection("c");
     ASSERT_TRUE(coll.ok());
     collection_ = *coll;
+    if (GetParam() == TapeWriter::kTctExportBehindFailed) {
+      auto b = db->InsertObject(collection_, "b", Ramp(domain_));
+      ASSERT_TRUE(b.ok());
+      ASSERT_TRUE(db->ExportObject(*b).ok());
+      ASSERT_FALSE(db->DrainExports().ok());  // the injected write error
+      db->ClearTctError();
+    }
     auto id = db->InsertObject(collection_, "a", Ramp(domain_));
     ASSERT_TRUE(id.ok());
     a_ = *id;
@@ -665,6 +826,7 @@ class CrashRecoveryTest : public ::testing::TestWithParam<TapeWriter> {
   void Run(HeavenDb* db) {
     switch (GetParam()) {
       case TapeWriter::kTctExport:
+      case TapeWriter::kTctExportBehindFailed:
         if (db->ExportObject(a_).ok()) (void)db->DrainExports();
         break;
       case TapeWriter::kSyncExport:
@@ -692,7 +854,7 @@ TEST_P(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
   {
     MemEnv base;
     FaultInjectionEnv env(&base);
-    auto db = HeavenDb::Open(&env, "/db", Options());
+    auto db = HeavenDb::Open(&env, "/db", Options(/*first_open=*/true));
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
     const uint64_t before = env.writes_issued();
@@ -709,7 +871,7 @@ TEST_P(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
     MemEnv base;
     FaultInjectionEnv env(&base);
     {
-      auto db = HeavenDb::Open(&env, "/db", Options());
+      auto db = HeavenDb::Open(&env, "/db", Options(/*first_open=*/true));
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
       env.SetWriteLimit(limit);  // the power cut is armed
@@ -730,24 +892,24 @@ TEST_P(CrashRecoveryTest, KillAndReopenAtEveryWritePoint) {
       ASSERT_TRUE(read.ok()) << name << ": " << read.status().ToString();
       EXPECT_EQ(read.value(), Ramp(domain_)) << name;
     }
+    if (GetParam() == TapeWriter::kTctExportBehindFailed) {
+      // The failed export stayed queued through the crash and was re-driven.
+      auto b = (*db)->FindObject("b");
+      ASSERT_TRUE(b.ok());
+      for (const TileDescriptor& tile :
+           (*db)->engine()->catalog()->ListTiles(b->object_id)) {
+        EXPECT_EQ(tile.location, TileLocation::kTertiary);
+      }
+    }
     // No duplicate or orphaned containers: every byte on tape is referenced
     // by exactly one registry extent.
-    uint64_t used = 0;
-    for (uint32_t m = 0; m < Options().library.num_media; ++m) {
-      auto bytes = (*db)->library()->MediumUsedBytes(m);
-      ASSERT_TRUE(bytes.ok());
-      used += *bytes;
-    }
-    uint64_t live = 0;
-    for (const SuperTileMeta& meta : (*db)->RegistrySnapshot()) {
-      live += meta.size_bytes;
-    }
-    EXPECT_EQ(used, live);
+    EXPECT_EQ(UsedTapeBytes(db->get()), LiveExtentBytes(db->get()));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(TapeWriters, CrashRecoveryTest,
                          ::testing::Values(TapeWriter::kTctExport,
+                                           TapeWriter::kTctExportBehindFailed,
                                            TapeWriter::kSyncExport,
                                            TapeWriter::kMigrationExport,
                                            TapeWriter::kTileAtATime,
@@ -821,6 +983,138 @@ TEST(CrashRecoveryTest, UpdateAfterCachedAggregateKeepsPrecomputedConsistent) {
     EXPECT_DOUBLE_EQ(*got, *want);
   }
 }
+
+// Mutators that write no tape (delete, reimport, update of an archived
+// object), killed at every write point: the reopened object is wholly
+// before or wholly after the mutation, a cached aggregate matches the
+// cells read back, and not a tape byte was written or lost.
+enum class CatalogMutator { kDelete, kReimport, kUpdate };
+
+const char* CatalogMutatorName(CatalogMutator mutator) {
+  switch (mutator) {
+    case CatalogMutator::kDelete:
+      return "Delete";
+    case CatalogMutator::kReimport:
+      return "Reimport";
+    case CatalogMutator::kUpdate:
+      return "Update";
+  }
+  return "";
+}
+
+void PrintTo(CatalogMutator mutator, std::ostream* os) {
+  *os << CatalogMutatorName(mutator);
+}
+
+class MutatorCrashTest : public ::testing::TestWithParam<CatalogMutator> {
+ protected:
+  const MdInterval domain_{{0, 0}, {29, 29}};
+  const MdInterval region_{{0, 0}, {14, 14}};
+
+  HeavenOptions Options() const {
+    HeavenOptions options;
+    options.library.profile = MidTapeProfile();
+    options.library.num_drives = 2;
+    options.library.num_media = 4;
+    options.disk_tile_bytes = 1024;
+    options.supertile_bytes = 4 << 10;
+    return options;
+  }
+
+  // Archives "a" and caches (and persists) an aggregate over region_.
+  void Prepare(HeavenDb* db) {
+    auto coll = db->CreateCollection("c");
+    ASSERT_TRUE(coll.ok());
+    auto id = db->InsertObject(*coll, "a", Ramp(domain_));
+    ASSERT_TRUE(id.ok());
+    a_ = *id;
+    ASSERT_TRUE(db->ExportObject(a_).ok());
+    ASSERT_TRUE(db->Aggregate(a_, Condenser::kSum, region_).ok());
+  }
+
+  Status Run(HeavenDb* db) {
+    switch (GetParam()) {
+      case CatalogMutator::kDelete:
+        return db->DeleteObject(a_);
+      case CatalogMutator::kReimport:
+        return db->ReimportObject(a_);
+      case CatalogMutator::kUpdate: {
+        MddArray patch(MdInterval({5, 5}, {20, 20}), CellType::kFloat);
+        patch.Generate([](const MdPoint&) { return -7.0; });
+        return db->UpdateRegion(a_, patch);
+      }
+    }
+    return Status::Ok();
+  }
+
+  ObjectId a_ = 0;
+};
+
+TEST_P(MutatorCrashTest, KillAndReopenAtEveryWritePoint) {
+  // Dry run: count the writes and record the states before and after.
+  uint64_t writes = 0;
+  uint64_t used_before = 0;
+  std::optional<MddArray> after;  // empty: the object is gone
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    auto db = HeavenDb::Open(&env, "/db", Options());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
+    used_before = UsedTapeBytes(db->get());
+    ASSERT_EQ(used_before, LiveExtentBytes(db->get()));
+    const uint64_t before = env.writes_issued();
+    ASSERT_TRUE(Run(db->get()).ok());
+    writes = env.writes_issued() - before;
+    if (GetParam() != CatalogMutator::kDelete) {
+      auto read = (*db)->ReadObject(a_);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      after = std::move(read).value();
+    }
+  }
+  ASSERT_GT(writes, 0u);
+  ASSERT_LT(writes, 300u) << "sweep would be too slow";
+
+  for (uint64_t limit = 1; limit <= writes; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    {
+      auto db = HeavenDb::Open(&env, "/db", Options());
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(Prepare(db->get()));
+      env.SetWriteLimit(limit);  // the power cut is armed
+      (void)Run(db->get());      // may fail: that IS the crash
+      env.ClearWriteLimit();
+    }
+    auto db = HeavenDb::Open(&env, "/db", Options());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    if ((*db)->FindObject("a").ok()) {
+      auto read = (*db)->ReadObject(a_);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_TRUE(*read == Ramp(domain_) || (after && *read == *after));
+      auto want = CondenseRegion(*read, Condenser::kSum, region_);
+      ASSERT_TRUE(want.ok());
+      auto got = (*db)->Aggregate(a_, Condenser::kSum, region_);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_DOUBLE_EQ(*got, *want);
+    } else {
+      EXPECT_EQ(GetParam(), CatalogMutator::kDelete);
+    }
+    // The mutators leave dead extents on the append-only tape (a reclaim
+    // recovers them) but never write or lose a tape byte.
+    EXPECT_EQ(UsedTapeBytes(db->get()), used_before);
+    EXPECT_LE(LiveExtentBytes(db->get()), used_before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CatalogMutators, MutatorCrashTest,
+    ::testing::Values(CatalogMutator::kDelete, CatalogMutator::kReimport,
+                      CatalogMutator::kUpdate),
+    [](const ::testing::TestParamInfo<CatalogMutator>& info) {
+      return std::string(CatalogMutatorName(info.param));
+    });
 
 }  // namespace
 }  // namespace heaven

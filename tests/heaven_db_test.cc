@@ -322,6 +322,96 @@ TEST_F(HeavenDbTest, PrefetchPopulatesCache) {
   EXPECT_GT(db_->stats()->Get(Ticker::kPrefetchIssued), 0u);
 }
 
+/// Exports a 64x64 float object as at least four super-tiles on one
+/// medium; returns them in offset order.
+std::vector<SuperTileMeta> ExportSweepObject(HeavenDb* db, ObjectId* id) {
+  auto coll = db->CreateCollection("sweep");
+  HEAVEN_CHECK(coll.ok());
+  auto inserted =
+      db->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {63, 63})));
+  HEAVEN_CHECK(inserted.ok());
+  *id = *inserted;
+  HEAVEN_CHECK(db->ExportObject(*id).ok());
+  std::vector<SuperTileMeta> sts = db->RegistrySnapshot();
+  std::sort(sts.begin(), sts.end(),
+            [](const SuperTileMeta& a, const SuperTileMeta& b) {
+              return a.offset < b.offset;
+            });
+  HEAVEN_CHECK(sts.size() >= 4);
+  for (const SuperTileMeta& meta : sts) {
+    HEAVEN_CHECK(meta.medium == sts[0].medium);
+  }
+  return sts;
+}
+
+/// Reads one tile stored in super-tile `st`.
+void ReadTileOf(HeavenDb* db, ObjectId id, SuperTileId st) {
+  for (const TileDescriptor& tile : db->engine()->catalog()->ListTiles(id)) {
+    if (tile.super_tile != st) continue;
+    auto read = db->ReadRegion(id, tile.domain);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    return;
+  }
+  FAIL() << "no tile in super-tile " << st;
+}
+
+TEST_F(HeavenDbTest, PrefetchEvictedUnhitIsNotUseful) {
+  OpenFreshDb([](HeavenOptions* options) {
+    options->enable_prefetch = true;
+    options->prefetch_depth = 1;
+    options->supertile_bytes = 4 << 10;
+  });
+  ObjectId id = 0;
+  const std::vector<SuperTileMeta> sts = ExportSweepObject(db_.get(), &id);
+  // Room for exactly two containers: every admission evicts the LRU one.
+  uint64_t largest = 0;
+  for (const SuperTileMeta& meta : sts) {
+    largest = std::max(largest, meta.size_bytes);
+  }
+  OpenDb([&](HeavenOptions* options) {
+    options->enable_prefetch = true;
+    options->prefetch_depth = 1;
+    options->supertile_bytes = 4 << 10;
+    options->cache.capacity_bytes = 2 * largest;
+  });
+  SuperTileCache* cache = db_->cache();
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[0].id));
+  EXPECT_TRUE(cache->Contains(sts[1].id));  // prefetched
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[2].id));
+  EXPECT_FALSE(cache->Contains(sts[1].id));  // evicted by 3's prefetch, unhit
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[1].id));  // a miss
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[1].id));  // a hit
+  EXPECT_EQ(db_->stats()->Get(Ticker::kPrefetchIssued), 3u);
+  EXPECT_EQ(db_->stats()->Get(Ticker::kPrefetchUseful), 0u);
+  // The same hit on a prefetched entry is useful, once.
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[2].id));
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[2].id));
+  EXPECT_EQ(db_->stats()->Get(Ticker::kPrefetchUseful), 1u);
+}
+
+TEST_F(HeavenDbTest, PrefetchReadRetriesTransientFault) {
+  auto tweak = [](HeavenOptions* options) {
+    options->enable_prefetch = true;
+    options->prefetch_depth = 1;
+    options->supertile_bytes = 4 << 10;
+    // Seed 8 spares the query's read and fails the prefetch's read once.
+    options->fault_policy.enabled = true;
+    options->fault_policy.seed = 8;
+    options->fault_policy.max_faults = 1;
+    options->fault_policy.tape_read_error_p = 0.5;
+  };
+  OpenFreshDb(tweak);
+  ObjectId id = 0;
+  const std::vector<SuperTileMeta> sts = ExportSweepObject(db_.get(), &id);
+  ASSERT_NO_FATAL_FAILURE(ReadTileOf(db_.get(), id, sts[0].id));
+  const Statistics& stats = *db_->stats();
+  EXPECT_EQ(stats.Get(Ticker::kFaultsInjected), 1u);
+  EXPECT_EQ(stats.Get(Ticker::kTapeRetries), 1u);
+  EXPECT_EQ(stats.Get(Ticker::kPrefetchErrors), 0u);
+  EXPECT_EQ(stats.Get(Ticker::kPrefetchIssued), 1u);
+  EXPECT_TRUE(db_->cache()->Contains(sts[1].id));
+}
+
 TEST_F(HeavenDbTest, EStarPartitionerExportWorks) {
   OpenDb([](HeavenOptions* options) {
     options->partitioner = PartitionerKind::kEStar;

@@ -107,9 +107,11 @@ SnapshotRegistryView MakeRegistry() {
   return registry.Snapshot();
 }
 
+bool SkipNone(SuperTileId) { return false; }
+
 TEST(PrefetchTest, PicksNextOffsetsOnSameMedium) {
   auto registry = MakeRegistry();
-  auto targets = ChoosePrefetchTargets(registry, 0, 100, 2, {});
+  auto targets = ChoosePrefetchTargets(registry, 0, 100, 2, SkipNone);
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_EQ(targets[0], 2u);  // at offset 100
   EXPECT_EQ(targets[1], 3u);  // at offset 200
@@ -117,27 +119,29 @@ TEST(PrefetchTest, PicksNextOffsetsOnSameMedium) {
 
 TEST(PrefetchTest, SkipsOtherMedia) {
   auto registry = MakeRegistry();
-  auto targets = ChoosePrefetchTargets(registry, 1, 0, 10, {});
+  auto targets = ChoosePrefetchTargets(registry, 1, 0, 10, SkipNone);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], 4u);
 }
 
 TEST(PrefetchTest, SkipsCachedAndEarlierOffsets) {
   auto registry = MakeRegistry();
-  auto targets = ChoosePrefetchTargets(registry, 0, 150, 10, {3});
+  auto targets = ChoosePrefetchTargets(
+      registry, 0, 150, 10, [](SuperTileId id) { return id == 3; });
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], 5u);  // 2 is behind the head, 3 is cached
 }
 
 TEST(PrefetchTest, RespectsMaxCount) {
   auto registry = MakeRegistry();
-  auto targets = ChoosePrefetchTargets(registry, 0, 0, 1, {});
+  auto targets = ChoosePrefetchTargets(registry, 0, 0, 1, SkipNone);
   EXPECT_EQ(targets.size(), 1u);
 }
 
 TEST(PrefetchTest, EmptyRegistry) {
   SnapshotRegistry registry;
-  EXPECT_TRUE(ChoosePrefetchTargets(registry.Snapshot(), 0, 0, 5, {}).empty());
+  EXPECT_TRUE(
+      ChoosePrefetchTargets(registry.Snapshot(), 0, 0, 5, SkipNone).empty());
 }
 
 }  // namespace

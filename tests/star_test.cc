@@ -8,7 +8,7 @@
 #include "array/tiling.h"
 #include "common/rng.h"
 #include "heaven/size_adaptation.h"
-#include "heaven/zorder.h"
+#include "heaven/space_filling_curve.h"
 
 namespace heaven {
 namespace {
@@ -216,31 +216,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StarPropertyTest,
 
 // ---------------------------------------------------------------- Z-order --
 
+uint64_t ZKey(const MdPoint& p, const MdPoint& origin) {
+  return GetCurve(CurveKind::kZOrder).Key(p, origin);
+}
+
 TEST(ZOrderTest, OriginMapsToZero) {
-  EXPECT_EQ(ZOrderKey(MdPoint{3, 7}, MdPoint{3, 7}), 0u);
+  EXPECT_EQ(ZKey(MdPoint{3, 7}, MdPoint{3, 7}), 0u);
 }
 
 TEST(ZOrderTest, InterleavesBits) {
   MdPoint origin{0, 0};
   // (1,0) and (0,1) differ in which interleaved bit is set.
-  const uint64_t k10 = ZOrderKey(MdPoint{1, 0}, origin);
-  const uint64_t k01 = ZOrderKey(MdPoint{0, 1}, origin);
+  const uint64_t k10 = ZKey(MdPoint{1, 0}, origin);
+  const uint64_t k01 = ZKey(MdPoint{0, 1}, origin);
   EXPECT_NE(k10, k01);
-  EXPECT_EQ(k10 | k01, ZOrderKey(MdPoint{1, 1}, origin));
+  EXPECT_EQ(k10 | k01, ZKey(MdPoint{1, 1}, origin));
 }
 
 TEST(ZOrderTest, LocalityNearbyPointsHaveNearbyKeys) {
   MdPoint origin{0, 0};
-  const uint64_t base = ZOrderKey(MdPoint{8, 8}, origin);
-  const uint64_t near = ZOrderKey(MdPoint{9, 8}, origin);
-  const uint64_t far = ZOrderKey(MdPoint{100, 100}, origin);
+  const uint64_t base = ZKey(MdPoint{8, 8}, origin);
+  const uint64_t near = ZKey(MdPoint{9, 8}, origin);
+  const uint64_t far = ZKey(MdPoint{100, 100}, origin);
   EXPECT_LT(near > base ? near - base : base - near,
             far > base ? far - base : base - far);
 }
 
 TEST(ZOrderTest, NegativeShiftedCoordinatesClampToZero) {
   // Points below the origin clamp rather than wrap.
-  EXPECT_EQ(ZOrderKey(MdPoint{-5, -5}, MdPoint{0, 0}), 0u);
+  EXPECT_EQ(ZKey(MdPoint{-5, -5}, MdPoint{0, 0}), 0u);
 }
 
 // --------------------------------------------------------- size adaptation --

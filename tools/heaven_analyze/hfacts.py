@@ -19,7 +19,7 @@ reason:
   // analyze: wallclock(<reason>)   -- wall-clock call is a sanctioned
                                        measurement site
   // analyze: leaf-lock             -- mutex acquires no further lock while
-                                       held (lint.sh rule 7 marker; rule
+                                       held (lint.sh rule 6 marker; rule
                                        lock-order enforces it)
   // analyze: pool-safe(<reason>)   -- function is safe to run on the pool
                                        even though the heuristic reachability
