@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/bitvector.h"
+#include "common/coding.h"
 #include "common/env.h"
 #include "heaven/bitmap_index.h"
 #include "heaven/export_journal.h"
@@ -114,9 +116,16 @@ int main(int argc, char** argv) {
                   SerializeSuperTileMetas({meta, bare}));
   }
 
-  // --- export_journal: on-disk journal images ------------------------
+  // --- export_journal: [u16 side_len][side image][log image] ---------
   {
+    const auto seed = [](std::string_view side, std::string_view log) {
+      std::string input(1, static_cast<char>(side.size() & 0xff));
+      input.push_back(static_cast<char>(side.size() >> 8));
+      return input.append(side).append(log);
+    };
     MemEnv env;
+    std::string before_close;
+    std::string after_close;
     {
       // Two queued exports, the first one's intent and close (which
       // rewrites the journal to the second's kPending), then the second's
@@ -125,14 +134,24 @@ int main(int argc, char** argv) {
       (void)(*journal)->LogPending(7);
       (void)(*journal)->LogPending(8);
       (void)(*journal)->LogIntent(7);
+      before_close = (*env.OpenFile("j"))->ReadAll().value();
       (void)(*journal)->LogCommitted(7);
+      after_close = (*env.OpenFile("j"))->ReadAll().value();
       (void)(*journal)->LogIntent(8);
     }
     const std::string image = (*env.OpenFile("j"))->ReadAll().value();
-    WriteSeed(root / "export_journal", "committed.bin", image);
+    WriteSeed(root / "export_journal", "committed.bin", seed("", image));
     // A torn tail: the same image with the last frame cut mid-payload.
     WriteSeed(root / "export_journal", "torn.bin",
-              image.substr(0, image.size() - 5));
+              seed("", image.substr(0, image.size() - 5)));
+    // The close of 7 cut while overwriting the log: its side image is
+    // whole, the log is half of that image.
+    const std::string side = Framed(after_close);
+    WriteSeed(root / "export_journal", "interrupted_close.bin",
+              seed(side, after_close.substr(0, after_close.size() / 2)));
+    // ... and cut while writing the side image: the log is untouched.
+    WriteSeed(root / "export_journal", "torn_side_image.bin",
+              seed(side.substr(0, side.size() - 3), before_close));
   }
 
   return 0;

@@ -12,9 +12,10 @@
 # scripts/bench_compare.py against them, gating the deterministic
 # sim-clock metrics, plus the comparer's own --self-test.
 #
-# --faults additionally runs the fault-injection suite and a widened fault
-# storm (100 seeds instead of the in-tree 50) under ASan+UBSan, so injected
-# failure paths are exercised with memory checking on.
+# --faults additionally runs the fault-injection suite, the WAL/storage
+# crash and recovery tests and a widened fault storm (100 seeds instead of
+# the in-tree 50) under ASan+UBSan, so injected failure paths are exercised
+# with memory checking on.
 #
 # --overload runs the admission/QoS suite under ThreadSanitizer plus a
 # widened overload storm (25 seeds instead of the in-tree 10), so the
@@ -139,10 +140,16 @@ if [[ "$RUN_FAULTS" == 1 ]]; then
   cmake -B build-asan -S . -DHEAVEN_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \
       >/dev/null
   cmake --build build-asan -j"$(nproc)" \
-      --target fault_injection_test concurrency_stress_test
+      --target fault_injection_test wal_engine_test storage_test \
+               concurrency_stress_test
   # Includes the kill-at-every-write-point sweeps: the tape writers, the
-  # catalog mutators (delete, reimport, update) and the journal rewrite.
+  # catalog mutators (delete, reimport, update; also with a checkpoint on
+  # every commit), the recovering open, the crash-safe file replace and the
+  # journal close; then the storage-level checkpoint sweep and the
+  # free-list recovery tests.
   ./build-asan/tests/fault_injection_test
+  ./build-asan/tests/wal_engine_test
+  ./build-asan/tests/storage_test
   HEAVEN_FAULT_STORM_SEEDS=100 ./build-asan/tests/concurrency_stress_test \
       --gtest_filter='FaultStormTest.*'
 fi

@@ -33,6 +33,19 @@ Status Decoder::GetRaw(size_t n, std::string* value) {
   return Status::Ok();
 }
 
+Status Decoder::GetFramed(std::string_view* payload) {
+  uint32_t length = 0;
+  uint32_t crc = 0;
+  HEAVEN_RETURN_IF_ERROR(GetFixed32(&length));
+  HEAVEN_RETURN_IF_ERROR(GetFixed32(&crc));
+  if (remaining() < length || Crc32c(data_.substr(pos_, length)) != crc) {
+    return Status::Corruption("torn or corrupt frame");
+  }
+  *payload = data_.substr(pos_, length);
+  pos_ += length;
+  return Status::Ok();
+}
+
 Status Decoder::Skip(size_t n) {
   if (remaining() < n) return Status::Corruption("skip past end");
   pos_ += n;
@@ -63,6 +76,13 @@ uint32_t Crc32c(const char* data, size_t n) {
     crc = kTable[(crc ^ static_cast<uint8_t>(data[i])) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffff;
+}
+
+std::string Framed(std::string_view payload) {
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&frame, Crc32c(payload));
+  return frame.append(payload);
 }
 
 void AppendJsonString(std::string* dst, std::string_view value) {

@@ -53,6 +53,11 @@ inline void PutLengthPrefixed(std::string* dst, std::string_view value) {
   dst->append(value.data(), value.size());
 }
 
+/// `payload` in a checksummed frame: [u32 length][u32 crc32c][payload], the
+/// format of WAL records, export-journal records and the side images of
+/// ReplaceFileContents, which tells a torn or rotten frame from an intact one.
+std::string Framed(std::string_view payload);
+
 /// Cursor-based decoder over an immutable byte buffer; every Get* call
 /// validates remaining length and returns Corruption on truncation.
 class Decoder {
@@ -68,6 +73,9 @@ class Decoder {
   Status GetLengthPrefixed(std::string* value);
   /// Reads exactly `n` raw bytes.
   Status GetRaw(size_t n, std::string* value);
+  /// Reads one Framed frame; `payload` views the decoder's buffer.
+  /// Corruption when the frame is torn or fails its checksum.
+  Status GetFramed(std::string_view* payload);
   Status Skip(size_t n);
 
  private:

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/coding.h"
+
 namespace heaven {
 
 namespace {
@@ -171,12 +173,46 @@ class MemFile : public File {
   std::shared_ptr<MemEnv::FileData> data_;
 };
 
+/// Durably replaces the whole file with `contents`.
+Status Overwrite(File* file, std::string_view contents) {
+  HEAVEN_RETURN_IF_ERROR(file->Truncate(0));
+  HEAVEN_RETURN_IF_ERROR(file->WriteAt(0, contents));
+  return file->Sync();
+}
+
 }  // namespace
 
 Result<std::string> File::ReadAll() {
   HEAVEN_ASSIGN_OR_RETURN(uint64_t size, Size());
   std::string contents;
   if (size > 0) HEAVEN_RETURN_IF_ERROR(ReadAt(0, size, &contents));
+  return contents;
+}
+
+Status ReplaceFileContents(Env* env, const std::string& path,
+                           std::string_view image) {
+  const std::string side_path = path + ".rewrite";
+  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side, env->OpenFile(side_path));
+  HEAVEN_RETURN_IF_ERROR(Overwrite(side.get(), Framed(image)));
+  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->OpenFile(path));
+  HEAVEN_RETURN_IF_ERROR(Overwrite(file.get(), image));
+  return env->DeleteFile(side_path);
+}
+
+Result<std::string> RecoverFileReplace(Env* env, const std::string& path) {
+  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->OpenFile(path));
+  HEAVEN_ASSIGN_OR_RETURN(std::string contents, file->ReadAll());
+  const std::string side_path = path + ".rewrite";
+  if (!env->FileExists(side_path)) return contents;
+  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side, env->OpenFile(side_path));
+  HEAVEN_ASSIGN_OR_RETURN(const std::string framed, side->ReadAll());
+  std::string_view image;
+  // A torn side image means the replace never touched `path`.
+  if (Decoder(framed).GetFramed(&image).ok() && !contents.starts_with(image)) {
+    contents = image;
+    HEAVEN_RETURN_IF_ERROR(Overwrite(file.get(), contents));
+  }
+  HEAVEN_RETURN_IF_ERROR(env->DeleteFile(side_path));
   return contents;
 }
 

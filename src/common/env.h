@@ -51,6 +51,20 @@ class Env {
   static Env* Default();
 };
 
+/// Crash-safe whole-file replace. `Env` has no rename, so `image` first
+/// becomes durable as one Framed frame in the side file
+/// `<path>.rewrite`; then `path` is overwritten with it and the side file
+/// deleted. Once RecoverFileReplace has run, a crash at any point leaves
+/// `path` holding either its old contents or `image`.
+Status ReplaceFileContents(Env* env, const std::string& path,
+                           std::string_view image);
+
+/// Reads `path` (created empty if absent), first rolling an interrupted
+/// ReplaceFileContents of it forward: an intact side image is adopted
+/// unless `path` already begins with it (the replace finished, and `path`
+/// may have been appended to since); then the side file is deleted.
+Result<std::string> RecoverFileReplace(Env* env, const std::string& path);
+
 /// In-memory Env for tests and simulation-backed benchmarks; contents live
 /// for the lifetime of the MemEnv object.
 class MemEnv : public Env {

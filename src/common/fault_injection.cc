@@ -169,6 +169,8 @@ bool FaultInjectionEnv::FileExists(const std::string& path) {
 }
 
 Status FaultInjectionEnv::DeleteFile(const std::string& path) {
+  size_t torn_prefix = 0;  // all or nothing, like a truncate
+  HEAVEN_RETURN_IF_ERROR(CheckWrite(0, &torn_prefix, /*random_faults=*/false));
   return base_->DeleteFile(path);
 }
 

@@ -163,9 +163,9 @@ Status RetryTapeOp(const RetryPolicy& policy, SimClock* clock,
 /// (a deterministic prefix persists, then the call fails) and a hard write
 /// limit for crash-point tests — after the limit is exhausted every write
 /// and sync fails, simulating a killed process whose completed writes are
-/// all that survives. A truncate counts as a write and is all or nothing;
-/// it draws from no random fault stream. Reads always pass through
-/// untouched.
+/// all that survives. A truncate or a file deletion counts as a write and
+/// is all or nothing; it draws from no random fault stream. Reads always
+/// pass through untouched.
 class FaultInjectionEnv : public Env {
  public:
   explicit FaultInjectionEnv(Env* base, const FaultPolicy& policy = {},
@@ -179,13 +179,14 @@ class FaultInjectionEnv : public Env {
   Result<uint64_t> GetFileSize(const std::string& path) override;
 
   /// The next `remaining_writes - 1` write calls succeed, the following one
-  /// persists only half its payload (a truncate: nothing) and fails, and
-  /// every write/truncate/sync after that fails — the deterministic "power
-  /// cut after N writes" crash point.
+  /// persists only half its payload (a truncate or deletion: nothing) and
+  /// fails, and every write/truncate/deletion/sync after that fails — the
+  /// deterministic "power cut after N writes" crash point.
   void SetWriteLimit(uint64_t remaining_writes);
   void ClearWriteLimit();
 
-  /// Write and truncate calls observed so far (for choosing crash points).
+  /// Write, truncate and deletion calls observed so far (for choosing
+  /// crash points).
   uint64_t writes_issued() const;
 
   FaultInjector* injector() { return &injector_; }

@@ -1,8 +1,5 @@
 #include "heaven/export_journal.h"
 
-#include <optional>
-#include <string_view>
-
 #include "common/coding.h"
 #include "common/logging.h"
 
@@ -10,39 +7,11 @@ namespace heaven {
 
 namespace {
 
-/// [u32 len][u32 crc32c][payload].
-std::string Frame(std::string_view payload) {
-  std::string frame;
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32c(payload));
-  frame.append(payload);
-  return frame;
-}
-
 /// The frame of one record: [u8 kind][u64 object_id].
 std::string Record(uint8_t kind, ObjectId object_id) {
   std::string payload(1, static_cast<char>(kind));
   PutFixed64(&payload, object_id);
-  return Frame(payload);
-}
-
-/// The payload of the intact frame `data` starts with, if any.
-std::optional<std::string_view> Unframe(std::string_view data) {
-  Decoder header(data);
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  if (!header.GetFixed32(&len).ok() || !header.GetFixed32(&crc).ok() ||
-      data.size() - 8 < len || Crc32c(data.substr(8, len)) != crc) {
-    return std::nullopt;
-  }
-  return data.substr(8, len);
-}
-
-/// Durably replaces the whole file with `image`.
-Status Replace(File* file, std::string_view image) {
-  HEAVEN_RETURN_IF_ERROR(file->Truncate(0));
-  HEAVEN_RETURN_IF_ERROR(file->WriteAt(0, image));
-  return file->Sync();
+  return Framed(payload);
 }
 
 }  // namespace
@@ -53,34 +22,22 @@ ExportJournal::ExportJournal(Env* env, std::string path,
 
 Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
     Env* env, const std::string& path) {
+  HEAVEN_ASSIGN_OR_RETURN(const std::string image,
+                          RecoverFileReplace(env, path));
   HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->OpenFile(path));
-  HEAVEN_ASSIGN_OR_RETURN(std::string image, file->ReadAll());
-  const std::string side_path = path + ".rewrite";
-  if (env->FileExists(side_path)) {
-    // A rewrite was cut short: adopt its image if whole, unless the log
-    // already begins with it (rewritten, then appended to).
-    HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side,
-                            env->OpenFile(side_path));
-    HEAVEN_ASSIGN_OR_RETURN(const std::string side_image, side->ReadAll());
-    const std::optional<std::string_view> rewritten = Unframe(side_image);
-    if (rewritten.has_value() && !image.starts_with(*rewritten)) {
-      image = *rewritten;
-      HEAVEN_RETURN_IF_ERROR(Replace(file.get(), image));
-    }
-    HEAVEN_RETURN_IF_ERROR(env->DeleteFile(side_path));
-  }
   std::unique_ptr<ExportJournal> journal(
       new ExportJournal(env, path, std::move(file)));
   MutexLock lock(journal->mu_);
 
   // Scan intact frames; a torn/corrupt frame ends the journal (it is the
   // crash's own tail — by construction nothing after it ever mattered).
+  Decoder frames(image);
   size_t pos = 0;
-  while (const std::optional<std::string_view> payload =
-             Unframe(std::string_view(image).substr(pos))) {
+  std::string_view payload;
+  while (frames.GetFramed(&payload).ok()) {
     // Bytes past the object id are ignored: the per-container records of
     // older journals share kind 2 and replay as the open intent they imply.
-    Decoder dec(*payload);
+    Decoder dec(payload);
     std::string kind;
     uint64_t object_id = 0;
     if (!dec.GetRaw(1, &kind).ok() || kind[0] < 1 || kind[0] > 3 ||
@@ -88,7 +45,7 @@ Result<std::unique_ptr<ExportJournal>> ExportJournal::Open(
       break;  // undecodable frame
     }
     journal->Apply(static_cast<Kind>(kind[0]), object_id);
-    pos += 8 + payload->size();
+    pos = frames.position();
   }
   if (pos < image.size()) {
     HEAVEN_LOG(Warning) << "export journal " << path << ": discarding "
@@ -151,37 +108,28 @@ Status ExportJournal::LogCommitted(ObjectId object_id) {
   const auto closed = still_pending.find(object_id);
   if (!intent_open_ && closed == still_pending.end()) return Status::Ok();
   if (closed != still_pending.end()) still_pending.erase(closed);
-  if (still_pending.empty()) {
-    // Nothing stays open: an empty log says so for good.
-    HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
-    end_ = 0;
-  } else {
-    HEAVEN_RETURN_IF_ERROR(Rewrite(still_pending));
-  }
-  Apply(Kind::kCommitted, object_id);
-  return Status::Ok();
+  return Compact(std::move(still_pending));
 }
 
-Status ExportJournal::Rewrite(const std::multiset<ObjectId>& pending) {
+Status ExportJournal::Restart(const std::set<ObjectId>& pending) {
+  MutexLock lock(mu_);
+  return Compact(std::multiset<ObjectId>(pending.begin(), pending.end()));
+}
+
+Status ExportJournal::Compact(std::multiset<ObjectId> pending) {
   std::string image;
   for (ObjectId object_id : pending) {
     image += Record(static_cast<uint8_t>(Kind::kPending), object_id);
   }
-  const std::string side_path = path_ + ".rewrite";
-  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> side,
-                          env_->OpenFile(side_path));
-  HEAVEN_RETURN_IF_ERROR(Replace(side.get(), Frame(image)));
-  HEAVEN_RETURN_IF_ERROR(Replace(file_.get(), image));
+  if (image.empty()) {
+    // Nothing stays open: an empty log says so for good.
+    HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
+  } else {
+    HEAVEN_RETURN_IF_ERROR(ReplaceFileContents(env_, path_, image));
+  }
   end_ = image.size();
-  return env_->DeleteFile(side_path);
-}
-
-Status ExportJournal::Reset() {
-  MutexLock lock(mu_);
-  HEAVEN_RETURN_IF_ERROR(file_->Truncate(0));
-  end_ = 0;
   intent_open_ = false;
-  pending_.clear();
+  pending_ = std::move(pending);
   return Status::Ok();
 }
 

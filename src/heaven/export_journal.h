@@ -20,17 +20,17 @@ namespace heaven {
 /// leaves an open intent (or an unfinished queued export), which tells the
 /// reopen to roll the orphaned tape tails back and re-enqueue the
 /// unfinished objects. A close shrinks the log to what stays open (nothing,
-/// or one kPending frame per queued export), so it stays bounded.
-/// Records are CRC-framed like WAL records; a torn tail (the crash
-/// interrupting the journal itself) is detected by checksum and discarded.
-///
-/// Frame layout: [u32 payload_len][u32 crc32c(payload)][payload], where the
-/// payload is one record: [u8 kind][u64 object_id].
+/// or one kPending frame per queued export, written through the crash-safe
+/// ReplaceFileContents), so it stays bounded. Records are Framed like
+/// WAL records; a torn tail (the crash interrupting the journal itself) is
+/// detected by checksum and discarded. A record's payload is
+/// [u8 kind][u64 object_id].
 class ExportJournal {
  public:
-  /// Opens (creating if absent) the journal at `path` and replays every
-  /// intact record into what it holds open; the scan stops at the first
-  /// torn or corrupt frame and the file is truncated to the valid prefix.
+  /// Opens (creating if absent) the journal at `path` via RecoverFileReplace
+  /// and replays every intact record into what it holds open; the scan
+  /// stops at the first torn or corrupt frame and the file is truncated to
+  /// the valid prefix.
   static Result<std::unique_ptr<ExportJournal>> Open(Env* env,
                                                      const std::string& path);
 
@@ -50,9 +50,9 @@ class ExportJournal {
   /// shrinks the log to what stays open. Closing nothing writes nothing.
   Status LogCommitted(ObjectId object_id) EXCLUDES(mu_);
 
-  /// Truncates the journal and forgets what it held open; recovery calls
-  /// it once it has acted on the replayed state.
-  Status Reset() EXCLUDES(mu_);
+  /// Makes `pending` all the journal holds open, closing the intent;
+  /// recovery calls it once it has acted on the replayed state.
+  Status Restart(const std::set<ObjectId>& pending) EXCLUDES(mu_);
 
  private:
   enum class Kind : uint8_t {
@@ -65,11 +65,10 @@ class ExportJournal {
 
   /// Makes the record durable, then applies it.
   Status Log(Kind kind, ObjectId object_id) REQUIRES(mu_);
-  /// Replaces the log with one kPending frame per entry of `pending`. The
-  /// image is durable as one frame in `<path>.rewrite` first; Open adopts
-  /// that file unless the log already begins with its image, so a crash
-  /// replays the state before or after the rewrite.
-  Status Rewrite(const std::multiset<ObjectId>& pending) REQUIRES(mu_);
+  /// Replaces the log with one kPending frame per entry of `pending` (an
+  /// empty log when there is none) and makes that all it holds open. A
+  /// crash replays the state before or after.
+  Status Compact(std::multiset<ObjectId> pending) REQUIRES(mu_);
   /// The record's effect on what the journal holds open.
   void Apply(Kind kind, ObjectId object_id) REQUIRES(mu_);
 

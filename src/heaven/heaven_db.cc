@@ -345,7 +345,7 @@ Status HeavenDb::RecoverExports() {
   // Runs during Init, before the TCT starts, but the registry reads below
   // still take the lock so the capability discipline holds everywhere.
   MutexLock lock(db_mu_);
-  const std::set<ObjectId> unfinished = journal_->pending();
+  std::set<ObjectId> unfinished = journal_->pending();
   if (!journal_->intent_open() && unfinished.empty()) return Status::Ok();
   // A crash interrupted a tape-writing mutation or a queued export.
   // db_mu_ serialises every tape writer, so the crash's appends (whole
@@ -363,17 +363,19 @@ Status HeavenDb::RecoverExports() {
     HEAVEN_RETURN_IF_ERROR(library_->TruncateMediumForRecovery(
         m, it == live_end.end() ? 0 : it->second));
   }
+
+  // Restart the journal, in one crash-safe replace, with just the unfinished
+  // objects that still exist, and hand those (journaled already) to the TCT.
+  std::erase_if(unfinished, [&](ObjectId object_id) {
+    return !engine_->catalog()->GetObject(object_id).ok();
+  });
   HEAVEN_LOG(Warning) << "export journal recovery: rolled back interrupted "
                          "tape writes; re-enqueueing "
                       << unfinished.size() << " object(s)";
-
-  // The old journal has served its purpose; restart it with just the
-  // still-unfinished objects and hand those back to the TCT.
-  HEAVEN_RETURN_IF_ERROR(journal_->Reset());
+  HEAVEN_RETURN_IF_ERROR(journal_->Restart(unfinished));
+  MutexLock tct_lock(tct_mu_);
   for (ObjectId object_id : unfinished) {
-    if (!engine_->catalog()->GetObject(object_id).ok()) continue;  // deleted
-    MutexLock tct_lock(tct_mu_);
-    HEAVEN_RETURN_IF_ERROR(EnqueueExport(object_id));
+    tct_queue_.emplace_back(object_id, library_->ElapsedSeconds());
   }
   return Status::Ok();
 }

@@ -126,6 +126,7 @@ Status BlobStore::RestoreDirectory(std::string_view image) {
   HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&next_id));
   HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&count));
   std::map<BlobId, BlobMeta> blobs;
+  std::vector<PageId> in_use;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t blob_id = 0;
     BlobMeta meta;
@@ -139,10 +140,12 @@ Status BlobStore::RestoreDirectory(std::string_view image) {
       HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&page_id));
       meta.pages.push_back(page_id);
     }
+    in_use.insert(in_use.end(), meta.pages.begin(), meta.pages.end());
     blobs.emplace(blob_id, std::move(meta));
   }
   blobs_ = std::move(blobs);
   next_blob_id_ = next_id;
+  disk_->ResetFreeList(in_use);
   return Status::Ok();
 }
 

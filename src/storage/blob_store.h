@@ -46,7 +46,8 @@ class BlobStore {
   /// Serializes the blob directory (ids, sizes, page lists) for checkpoints.
   std::string SerializeDirectory() const;
 
-  /// Replaces the directory from a checkpoint image.
+  /// Replaces the directory from a checkpoint image; every page it does
+  /// not reference becomes free.
   Status RestoreDirectory(std::string_view image);
 
  private:

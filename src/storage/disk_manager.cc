@@ -1,5 +1,7 @@
 #include "storage/disk_manager.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/logging.h"
 
@@ -9,59 +11,30 @@ namespace {
 constexpr uint64_t kMagic = 0x4845415645303144ULL;  // "HEAVE01D"
 }  // namespace
 
-DiskManager::DiskManager(std::unique_ptr<File> file, Statistics* stats)
-    : file_(std::move(file)), stats_(stats) {}
+DiskManager::DiskManager(std::unique_ptr<File> file, uint64_t num_pages,
+                         Statistics* stats)
+    : file_(std::move(file)), stats_(stats), num_pages_(num_pages) {}
 
 Result<std::unique_ptr<DiskManager>> DiskManager::Open(
     Env* env, const std::string& path, Statistics* stats) {
   HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->OpenFile(path));
-  std::unique_ptr<DiskManager> dm(new DiskManager(std::move(file), stats));
-  HEAVEN_ASSIGN_OR_RETURN(uint64_t size, dm->file_->Size());
+  HEAVEN_ASSIGN_OR_RETURN(const uint64_t size, file->Size());
+  std::string header;
   if (size == 0) {
-    HEAVEN_RETURN_IF_ERROR(dm->StoreHeader());
+    PutFixed64(&header, kMagic);
+    header.resize(kPageSize, '\0');
+    HEAVEN_RETURN_IF_ERROR(file->WriteAt(0, header));
   } else {
-    HEAVEN_RETURN_IF_ERROR(dm->LoadHeader());
+    HEAVEN_RETURN_IF_ERROR(file->ReadAt(0, 8, &header));
+    if (DecodeFixed64(header.data()) != kMagic) {
+      return Status::Corruption("bad page file magic");
+    }
   }
+  // A page whose extension was cut short is not one: it is reallocated.
+  std::unique_ptr<DiskManager> dm(new DiskManager(
+      std::move(file), std::max<uint64_t>(size / kPageSize, 1) - 1, stats));
+  dm->ResetFreeList({});
   return dm;
-}
-
-Status DiskManager::LoadHeader() {
-  std::string header;
-  HEAVEN_RETURN_IF_ERROR(file_->ReadAt(0, kPageSize, &header));
-  Decoder dec(header);
-  uint64_t magic = 0;
-  HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&magic));
-  if (magic != kMagic) return Status::Corruption("bad page file magic");
-  HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&num_pages_));
-  uint64_t free_count = 0;
-  HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&free_count));
-  // The header page bounds the persistable free list; overflow beyond the
-  // page is rejected at StoreHeader time, so this must fit.
-  free_list_.clear();
-  free_list_.reserve(free_count);
-  for (uint64_t i = 0; i < free_count; ++i) {
-    uint64_t page_id = 0;
-    HEAVEN_RETURN_IF_ERROR(dec.GetFixed64(&page_id));
-    free_list_.push_back(page_id);
-  }
-  return Status::Ok();
-}
-
-Status DiskManager::StoreHeader() {
-  // Free-list entries beyond header capacity are dropped (the pages leak
-  // until the next compaction; acceptable for this storage manager).
-  const size_t capacity = (kPageSize - 24) / 8;
-  const size_t persisted = std::min(free_list_.size(), capacity);
-  std::string header;
-  header.reserve(kPageSize);
-  PutFixed64(&header, kMagic);
-  PutFixed64(&header, num_pages_);
-  PutFixed64(&header, persisted);
-  for (size_t i = 0; i < persisted; ++i) {
-    PutFixed64(&header, free_list_[i]);
-  }
-  header.resize(kPageSize, '\0');
-  return file_->WriteAt(0, header);
 }
 
 Result<PageId> DiskManager::AllocatePage() {
@@ -76,7 +49,6 @@ Result<PageId> DiskManager::AllocatePage() {
     std::string zeros(kPageSize, '\0');
     HEAVEN_RETURN_IF_ERROR(file_->WriteAt(page_id * kPageSize, zeros));
   }
-  HEAVEN_RETURN_IF_ERROR(StoreHeader());
   return page_id;
 }
 
@@ -86,7 +58,19 @@ Status DiskManager::FreePage(PageId page_id) {
     return Status::InvalidArgument("FreePage: bad page id");
   }
   free_list_.push_back(page_id);
-  return StoreHeader();
+  return Status::Ok();
+}
+
+void DiskManager::ResetFreeList(const std::vector<PageId>& in_use) {
+  MutexLock lock(mu_);
+  for (PageId page_id : in_use) num_pages_ = std::max(num_pages_, page_id);
+  std::vector<bool> used(num_pages_ + 1, false);
+  for (PageId page_id : in_use) used[page_id] = true;
+  free_list_.clear();
+  // Descending, so allocation hands out the lowest free page first.
+  for (PageId page_id = num_pages_; page_id >= 1; --page_id) {
+    if (!used[page_id]) free_list_.push_back(page_id);
+  }
 }
 
 Status DiskManager::ReadPage(PageId page_id, std::string* out) {

@@ -15,7 +15,9 @@ namespace heaven {
 
 /// Manages the page file of the base storage manager: page allocation with
 /// a free list, page reads/writes. Page 0 is the header page holding the
-/// free-list head and the page count; data pages start at 1.
+/// magic; data pages start at 1, as many as the file size holds. The free
+/// list is not persisted: the file opens with every page free, and the
+/// owner of the pages claims its own through ResetFreeList.
 class DiskManager {
  public:
   /// Opens (creating if needed) the page file at `path`.
@@ -29,6 +31,9 @@ class DiskManager {
   /// Returns a page to the free list.
   Status FreePage(PageId page_id);
 
+  /// Makes exactly the pages not in `in_use` free.
+  void ResetFreeList(const std::vector<PageId>& in_use);
+
   /// Reads the full page into `out` (resized to kPageSize).
   Status ReadPage(PageId page_id, std::string* out);
 
@@ -41,10 +46,8 @@ class DiskManager {
   uint64_t NumPages() const;
 
  private:
-  DiskManager(std::unique_ptr<File> file, Statistics* stats);
-
-  Status LoadHeader() REQUIRES(mu_);
-  Status StoreHeader() REQUIRES(mu_);
+  DiskManager(std::unique_ptr<File> file, uint64_t num_pages,
+              Statistics* stats);
 
   /// Page I/O runs lock-free on positional reads/writes (page ownership
   /// is the buffer pool's problem); only the allocation metadata below

@@ -117,28 +117,24 @@ StorageEngine::~StorageEngine() {
 }
 
 Status StorageEngine::Recover() {
-  // 1. Load the last checkpoint, if any.
-  const std::string checkpoint_path = dir_ + kCheckpointFile;
-  if (env_->FileExists(checkpoint_path)) {
-    HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                            env_->OpenFile(checkpoint_path));
-    HEAVEN_ASSIGN_OR_RETURN(const std::string image, file->ReadAll());
-    if (!image.empty()) {
-      Decoder dec(image);
-      uint32_t crc = 0;
-      std::string blob_dir;
-      std::string catalog_image;
-      HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&crc));
-      std::string rest(image.substr(4));
-      if (Crc32c(rest) != crc) {
-        return Status::Corruption("checkpoint checksum mismatch");
-      }
-      Decoder body(rest);
-      HEAVEN_RETURN_IF_ERROR(body.GetLengthPrefixed(&blob_dir));
-      HEAVEN_RETURN_IF_ERROR(body.GetLengthPrefixed(&catalog_image));
-      HEAVEN_RETURN_IF_ERROR(blob_store_->RestoreDirectory(blob_dir));
-      HEAVEN_RETURN_IF_ERROR(catalog_.Restore(catalog_image));
+  // 1. Load the last checkpoint, if any, finishing an interrupted one. Its
+  //    blob directory claims its pages: every other page is free, so the
+  //    replay frees a blob deleted since the checkpoint exactly once.
+  HEAVEN_ASSIGN_OR_RETURN(const std::string image,
+                          RecoverFileReplace(env_, dir_ + kCheckpointFile));
+  if (!image.empty()) {
+    Decoder dec(image);
+    uint32_t crc = 0;
+    HEAVEN_RETURN_IF_ERROR(dec.GetFixed32(&crc));
+    if (Crc32c(std::string_view(image).substr(4)) != crc) {
+      return Status::Corruption("checkpoint checksum mismatch");
     }
+    std::string blob_dir;
+    std::string catalog_image;
+    HEAVEN_RETURN_IF_ERROR(dec.GetLengthPrefixed(&blob_dir));
+    HEAVEN_RETURN_IF_ERROR(dec.GetLengthPrefixed(&catalog_image));
+    HEAVEN_RETURN_IF_ERROR(blob_store_->RestoreDirectory(blob_dir));
+    HEAVEN_RETURN_IF_ERROR(catalog_.Restore(catalog_image));
   }
 
   // 2. Replay the WAL suffix: only operations of committed transactions.
@@ -244,12 +240,9 @@ Status StorageEngine::Checkpoint() {
   PutFixed32(&image, Crc32c(body));
   image.append(body);
 
-  const std::string checkpoint_path = dir_ + kCheckpointFile;
-  HEAVEN_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                          env_->OpenFile(checkpoint_path));
-  HEAVEN_RETURN_IF_ERROR(file->Truncate(0));
-  HEAVEN_RETURN_IF_ERROR(file->WriteAt(0, image));
-  HEAVEN_RETURN_IF_ERROR(file->Sync());
+  // The WAL may go only once the new image is durable.
+  HEAVEN_RETURN_IF_ERROR(
+      ReplaceFileContents(env_, dir_ + kCheckpointFile, image));
   return wal_->Reset();
 }
 

@@ -19,21 +19,13 @@ Status Wal::Append(const WalRecord& record, uint64_t* end_offset) {
   PutFixed64(&payload, record.blob_id);
   PutLengthPrefixed(&payload, record.payload);
 
-  std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&framed, Crc32c(payload));
-  framed.append(payload);
+  const std::string framed = Framed(payload);
 
   MutexLock lock(mu_);
   HEAVEN_RETURN_IF_ERROR(file_->WriteAt(append_offset_, framed));
   append_offset_ += framed.size();
   if (end_offset != nullptr) *end_offset = append_offset_;
   return Status::Ok();
-}
-
-Status Wal::Sync() {
-  MutexLock lock(mu_);
-  return file_->Sync();
 }
 
 Status Wal::SyncTo(uint64_t target_offset, uint64_t epoch) {
@@ -82,13 +74,8 @@ Result<std::vector<WalRecord>> Wal::ReadAll() {
   }
   std::vector<WalRecord> records;
   Decoder dec(contents);
-  while (!dec.done()) {
-    uint32_t length = 0;
-    uint32_t crc = 0;
-    if (!dec.GetFixed32(&length).ok() || !dec.GetFixed32(&crc).ok()) break;
-    std::string payload;
-    if (!dec.GetRaw(length, &payload).ok()) break;  // torn tail
-    if (Crc32c(payload) != crc) break;              // corrupt tail
+  std::string_view payload;
+  while (dec.GetFramed(&payload).ok()) {  // a torn or corrupt tail ends it
     Decoder body(payload);
     WalRecord record;
     HEAVEN_RETURN_IF_ERROR(body.GetFixed64(&record.txn_id));

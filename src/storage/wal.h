@@ -50,9 +50,6 @@ class Wal {
   /// offset just past the record — the durability target for SyncTo.
   Status Append(const WalRecord& record, uint64_t* end_offset = nullptr);
 
-  /// Unconditional fsync of the log file (legacy interface).
-  Status Sync();
-
   /// Makes the log durable up to `target_offset` under group commit. If a
   /// concurrent caller's fsync already covered the target, returns without
   /// touching the file; if a sync is in flight, waits for it (it may cover

@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/env.h"
 #include "common/logging.h"
 #include "heaven/export_journal.h"
@@ -149,6 +150,90 @@ TEST(FaultInjectionEnvTest, TruncateCountsAgainstTheWriteLimit) {
   EXPECT_EQ(base.GetFileSize("/f").value(), 8u);
   env.ClearWriteLimit();
   EXPECT_EQ(env.injector()->injected(), 0u);
+}
+
+TEST(FaultInjectionEnvTest, DeleteCountsAgainstTheWriteLimit) {
+  MemEnv base;
+  FaultPolicy policy;  // every random write fault armed
+  policy.enabled = true;
+  policy.seed = 3;
+  policy.env_write_error_p = 1.0;
+  policy.torn_write_p = 1.0;
+  FaultInjectionEnv env(&base, policy);
+  for (const char* path : {"/a", "/b", "/c", "/d"}) {
+    ASSERT_TRUE(base.OpenFile(path).ok());
+  }
+  // Without a limit a deletion passes and draws from no fault stream.
+  ASSERT_TRUE(env.DeleteFile("/a").ok());
+  EXPECT_EQ(env.injector()->injected(), 0u);
+
+  const uint64_t before = env.writes_issued();
+  env.SetWriteLimit(2);
+  ASSERT_TRUE(env.DeleteFile("/b").ok());   // write 1 of 2
+  EXPECT_FALSE(env.DeleteFile("/c").ok());  // the cut: it never happened
+  EXPECT_FALSE(env.DeleteFile("/d").ok());  // after the cut
+  EXPECT_EQ(env.writes_issued() - before, 3u);
+  EXPECT_FALSE(base.FileExists("/b"));
+  EXPECT_TRUE(base.FileExists("/c"));
+  EXPECT_TRUE(base.FileExists("/d"));
+  env.ClearWriteLimit();
+  EXPECT_EQ(env.injector()->injected(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Crash-safe file replace.
+// ---------------------------------------------------------------------------
+
+// Kill a replace at every write point: after the roll-forward the file
+// holds the old or the new image, and the side file is gone.
+TEST(FileReplaceTest, KillAtEveryWritePointLeavesTheOldOrTheNewImage) {
+  const std::string old_image = "the old image, longer than the new one";
+  const std::string new_image = "the new image";
+  auto prepare = [&](Env* env) {
+    HEAVEN_CHECK(env->OpenFile("/f").value()->WriteAt(0, old_image).ok());
+  };
+  uint64_t writes = 0;
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    prepare(&env);
+    const uint64_t before = env.writes_issued();
+    ASSERT_TRUE(ReplaceFileContents(&env, "/f", new_image).ok());
+    writes = env.writes_issued() - before;
+    EXPECT_FALSE(env.FileExists("/f.rewrite"));
+  }
+  ASSERT_GT(writes, 0u);
+  std::set<std::string> seen;
+  for (uint64_t limit = 1; limit <= writes; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    prepare(&env);
+    env.SetWriteLimit(limit);
+    EXPECT_FALSE(ReplaceFileContents(&env, "/f", new_image).ok());
+    env.ClearWriteLimit();
+    auto image = RecoverFileReplace(&env, "/f");
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    EXPECT_TRUE(*image == old_image || *image == new_image) << *image;
+    EXPECT_EQ(env.OpenFile("/f").value()->ReadAll().value(), *image);
+    EXPECT_FALSE(env.FileExists("/f.rewrite"));
+    seen.insert(*image);
+  }
+  EXPECT_EQ(seen, std::set<std::string>({old_image, new_image}));
+}
+
+// A file appended to after its replace finished keeps its appendix.
+TEST(FileReplaceTest, RollForwardKeepsAFileThatBeginsWithTheSideImage) {
+  MemEnv env;
+  ASSERT_TRUE(ReplaceFileContents(&env, "/f", "image").ok());
+  ASSERT_TRUE(env.OpenFile("/f").value()->Append("+appended").ok());
+  ASSERT_TRUE(
+      env.OpenFile("/f.rewrite").value()->Append(Framed("image")).ok());
+  auto contents = RecoverFileReplace(&env, "/f");
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_EQ(*contents, "image+appended");
+  EXPECT_EQ(env.OpenFile("/f").value()->ReadAll().value(), "image+appended");
+  EXPECT_FALSE(env.FileExists("/f.rewrite"));
 }
 
 // ---------------------------------------------------------------------------
@@ -984,11 +1069,90 @@ TEST(CrashRecoveryTest, UpdateAfterCachedAggregateKeepsPrecomputedConsistent) {
   }
 }
 
+// Kill the recovering open of a database whose one queued TCT export
+// failed at every write point, the re-driven export included: every later
+// open re-drives the export again until it is done.
+TEST(CrashRecoveryTest, KillRecoveringOpenAtEveryWritePoint) {
+  const MdInterval domain({0, 0}, {29, 29});
+  const auto options = [](bool failing_tape) {
+    HeavenOptions options;
+    options.library.profile = MidTapeProfile();
+    options.library.num_drives = 2;
+    options.library.num_media = 4;
+    options.disk_tile_bytes = 2048;
+    options.supertile_bytes = 8 << 10;
+    options.decoupled_export = true;
+    if (failing_tape) {
+      options.fault_policy.enabled = true;
+      options.fault_policy.seed = 17;
+      options.fault_policy.max_faults = 1;
+      options.fault_policy.tape_write_error_p = 1.0;
+    }
+    return options;
+  };
+  // The export of "b" failed, so the journal keeps it queued.
+  const auto prepare = [&](Env* env) {
+    auto db = HeavenDb::Open(env, "/db", options(/*failing_tape=*/true));
+    HEAVEN_CHECK(db.ok()) << db.status().ToString();
+    auto coll = (*db)->CreateCollection("c");
+    HEAVEN_CHECK(coll.ok());
+    auto b = (*db)->InsertObject(*coll, "b", Ramp(domain));
+    HEAVEN_CHECK(b.ok());
+    HEAVEN_CHECK((*db)->ExportObject(*b).ok());
+    HEAVEN_CHECK(!(*db)->DrainExports().ok());  // the injected write error
+  };
+  // The open's writes come before the TCT starts, so the count is exact.
+  const auto recover = [&](Env* env) {
+    auto db = HeavenDb::Open(env, "/db", options(/*failing_tape=*/false));
+    if (db.ok()) (void)(*db)->DrainExports();
+  };
+  uint64_t writes = 0;
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    prepare(&env);
+    const uint64_t before = env.writes_issued();
+    recover(&env);
+    writes = env.writes_issued() - before;
+  }
+  ASSERT_GT(writes, 0u);
+  ASSERT_LT(writes, 300u) << "sweep would be too slow";
+
+  for (uint64_t limit = 1; limit <= writes; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    prepare(&env);
+    env.SetWriteLimit(limit);  // the power cut is armed
+    recover(&env);
+    env.ClearWriteLimit();
+    auto db = HeavenDb::Open(&env, "/db", options(/*failing_tape=*/false));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->DrainExports().ok());
+    auto b = (*db)->FindObject("b");
+    ASSERT_TRUE(b.ok());
+    for (const TileDescriptor& tile :
+         (*db)->engine()->catalog()->ListTiles(b->object_id)) {
+      EXPECT_EQ(tile.location, TileLocation::kTertiary);
+    }
+    auto read = (*db)->ReadObject(b->object_id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(*read == Ramp(domain));
+    EXPECT_EQ(UsedTapeBytes(db->get()), LiveExtentBytes(db->get()));
+  }
+}
+
 // Mutators that write no tape (delete, reimport, update of an archived
 // object), killed at every write point: the reopened object is wholly
 // before or wholly after the mutation, a cached aggregate matches the
-// cells read back, and not a tape byte was written or lost.
+// cells read back, and not a tape byte was written or lost. With a
+// checkpoint on every commit the sweep also cuts inside the checkpoint.
 enum class CatalogMutator { kDelete, kReimport, kUpdate };
+
+struct MutatorCase {
+  CatalogMutator mutator;
+  uint64_t checkpoint_wal_bytes = StorageOptions{}.checkpoint_wal_bytes;
+};
 
 const char* CatalogMutatorName(CatalogMutator mutator) {
   switch (mutator) {
@@ -1002,11 +1166,16 @@ const char* CatalogMutatorName(CatalogMutator mutator) {
   return "";
 }
 
-void PrintTo(CatalogMutator mutator, std::ostream* os) {
-  *os << CatalogMutatorName(mutator);
+std::string MutatorCaseName(const MutatorCase& c) {
+  return std::string(CatalogMutatorName(c.mutator)) +
+         (c.checkpoint_wal_bytes == 1 ? "CheckpointingEveryCommit" : "");
 }
 
-class MutatorCrashTest : public ::testing::TestWithParam<CatalogMutator> {
+void PrintTo(const MutatorCase& c, std::ostream* os) {
+  *os << MutatorCaseName(c);
+}
+
+class MutatorCrashTest : public ::testing::TestWithParam<MutatorCase> {
  protected:
   const MdInterval domain_{{0, 0}, {29, 29}};
   const MdInterval region_{{0, 0}, {14, 14}};
@@ -1018,6 +1187,7 @@ class MutatorCrashTest : public ::testing::TestWithParam<CatalogMutator> {
     options.library.num_media = 4;
     options.disk_tile_bytes = 1024;
     options.supertile_bytes = 4 << 10;
+    options.storage.checkpoint_wal_bytes = GetParam().checkpoint_wal_bytes;
     return options;
   }
 
@@ -1033,7 +1203,7 @@ class MutatorCrashTest : public ::testing::TestWithParam<CatalogMutator> {
   }
 
   Status Run(HeavenDb* db) {
-    switch (GetParam()) {
+    switch (GetParam().mutator) {
       case CatalogMutator::kDelete:
         return db->DeleteObject(a_);
       case CatalogMutator::kReimport:
@@ -1066,7 +1236,7 @@ TEST_P(MutatorCrashTest, KillAndReopenAtEveryWritePoint) {
     const uint64_t before = env.writes_issued();
     ASSERT_TRUE(Run(db->get()).ok());
     writes = env.writes_issued() - before;
-    if (GetParam() != CatalogMutator::kDelete) {
+    if (GetParam().mutator != CatalogMutator::kDelete) {
       auto read = (*db)->ReadObject(a_);
       ASSERT_TRUE(read.ok()) << read.status().ToString();
       after = std::move(read).value();
@@ -1099,7 +1269,7 @@ TEST_P(MutatorCrashTest, KillAndReopenAtEveryWritePoint) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_DOUBLE_EQ(*got, *want);
     } else {
-      EXPECT_EQ(GetParam(), CatalogMutator::kDelete);
+      EXPECT_EQ(GetParam().mutator, CatalogMutator::kDelete);
     }
     // The mutators leave dead extents on the append-only tape (a reclaim
     // recovers them) but never write or lose a tape byte.
@@ -1110,10 +1280,14 @@ TEST_P(MutatorCrashTest, KillAndReopenAtEveryWritePoint) {
 
 INSTANTIATE_TEST_SUITE_P(
     CatalogMutators, MutatorCrashTest,
-    ::testing::Values(CatalogMutator::kDelete, CatalogMutator::kReimport,
-                      CatalogMutator::kUpdate),
-    [](const ::testing::TestParamInfo<CatalogMutator>& info) {
-      return std::string(CatalogMutatorName(info.param));
+    ::testing::Values(MutatorCase{CatalogMutator::kDelete},
+                      MutatorCase{CatalogMutator::kReimport},
+                      MutatorCase{CatalogMutator::kUpdate},
+                      MutatorCase{CatalogMutator::kDelete, 1},
+                      MutatorCase{CatalogMutator::kReimport, 1},
+                      MutatorCase{CatalogMutator::kUpdate, 1}),
+    [](const ::testing::TestParamInfo<MutatorCase>& info) {
+      return MutatorCaseName(info.param);
     });
 
 }  // namespace

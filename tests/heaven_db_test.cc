@@ -168,6 +168,36 @@ TEST_F(HeavenDbTest, StatePersistsAcrossReopen) {
   EXPECT_EQ(read.value(), expected);
 }
 
+// The export frees the disk pages of "a" after the checkpoint that still
+// lists them; the reopen replays that free. Each page must come back free
+// once, or "b" and "c" end up sharing pages.
+TEST_F(HeavenDbTest, PagesFreedAfterACheckpointAreReusedOnce) {
+  const auto tweak = [](HeavenOptions* options) {
+    options->storage.checkpoint_wal_bytes = 4096;
+  };
+  OpenFreshDb(tweak);
+  auto coll = db_->CreateCollection("c");
+  ASSERT_TRUE(coll.ok());
+  collection_ = *coll;
+  const MdInterval domain({0, 0}, {39, 39});
+  const ObjectId a = Insert("a", domain);  // its commit checkpoints
+  ASSERT_LT(db_->engine()->WalBytes(), 4096u);
+  ASSERT_TRUE(db_->ExportObject(a).ok());
+  ASSERT_GT(db_->engine()->WalBytes(), 0u);  // the export did not
+  OpenDb(tweak);
+  const ObjectId b = Insert("b", domain);
+  MddArray other(domain, CellType::kFloat);
+  other.Generate([](const MdPoint&) { return -1.0; });
+  auto c = db_->InsertObject(collection_, "c", other);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  for (const auto& [id, expected] :
+       {std::pair{a, Ramp(domain)}, {b, Ramp(domain)}, {*c, other}}) {
+    auto read = db_->ReadObject(id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(*read == expected) << "object " << id;
+  }
+}
+
 TEST_F(HeavenDbTest, MixedStateSurvivesReopen) {
   ObjectId tape_obj = Insert("t", MdInterval({0, 0}, {19, 19}));
   ObjectId disk_obj = Insert("d", MdInterval({0, 0}, {19, 19}));

@@ -28,6 +28,9 @@ struct ModelConfig {
   Compression codec = Compression::kNone;
   bool decoupled_export = false;
   uint64_t seed = 0;
+  /// 4 KiB checkpoints every few commits, so reopens restore a checkpoint
+  /// and replay a WAL suffix; the default (64 MiB) never checkpoints here.
+  uint64_t checkpoint_wal_bytes = StorageOptions{}.checkpoint_wal_bytes;
 };
 
 std::string ConfigName(const ::testing::TestParamInfo<ModelConfig>& info) {
@@ -35,7 +38,8 @@ std::string ConfigName(const ::testing::TestParamInfo<ModelConfig>& info) {
   return "t" + std::to_string(c.num_threads) + "_" +
          (c.codec == Compression::kNone ? "none" : "deltarle") + "_" +
          (c.decoupled_export ? "tct" : "sync") + "_seed" +
-         std::to_string(c.seed);
+         std::to_string(c.seed) +
+         (c.checkpoint_wal_bytes == 4096 ? "_checkpoint4k" : "");
 }
 
 class ModelBasedTest : public ::testing::TestWithParam<ModelConfig> {};
@@ -65,6 +69,7 @@ TEST_P(ModelBasedTest, RandomOperationSequencesMatchModel) {
   options.num_threads = config.num_threads;
   options.compression = config.codec;
   options.decoupled_export = config.decoupled_export;
+  options.storage.checkpoint_wal_bytes = config.checkpoint_wal_bytes;
   std::unique_ptr<HeavenDb> db;
   auto open = [&] {
     db.reset();  // close first: one instance per directory
@@ -216,7 +221,10 @@ std::vector<ModelConfig> ModelMatrix() {
     for (Compression codec : {Compression::kNone, Compression::kDeltaRle}) {
       for (bool decoupled : {false, true}) {
         for (uint64_t seed : {1001, 2002, 3003}) {
-          configs.push_back({threads, codec, decoupled, seed});
+          for (uint64_t checkpoint_wal_bytes : {64ull << 20, 4ull << 10}) {
+            configs.push_back(
+                {threads, codec, decoupled, seed, checkpoint_wal_bytes});
+          }
         }
       }
     }

@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "common/env.h"
+#include "common/fault_injection.h"
+#include "common/logging.h"
 #include "storage/storage_engine.h"
 #include "storage/wal.h"
 
@@ -383,6 +385,67 @@ TEST_F(StorageEngineTest, ConcurrentSyncCommitsGroupCommit) {
   Reopen();
   for (BlobId id = 1; id <= kThreads * kCommitsPerThread; ++id) {
     EXPECT_TRUE(engine_->blobs()->Exists(id)) << id;
+  }
+}
+
+// ---------------------------------------------------- checkpoint crash --
+
+// Kill a checkpoint at every write point: the engine reopens (the
+// checkpoint is the old or the new image, never a torn one), holds every
+// committed blob, frees the pages of the blob deleted since the last
+// checkpoint once, and later blobs get pages of their own.
+TEST(StorageCrashTest, KillCheckpointAtEveryWritePoint) {
+  Statistics stats;
+  const auto blob = [](BlobId blob_id) {
+    return std::string(2 * kPageSize + 100, static_cast<char>('a' + blob_id));
+  };
+  // A checkpoint listing blobs 1 and 2, then a WAL deleting 1 and adding 3.
+  const auto prepare = [&](Env* env) {
+    auto engine = StorageEngine::Open(env, "/db", StorageOptions{}, &stats);
+    HEAVEN_CHECK(engine.ok()) << engine.status().ToString();
+    for (BlobId blob_id : {1, 2}) {
+      HEAVEN_CHECK((*engine)->PutBlobAtomic(blob_id, blob(blob_id)).ok());
+    }
+    HEAVEN_CHECK((*engine)->Checkpoint().ok());
+    std::unique_ptr<Transaction> txn = (*engine)->Begin();
+    txn->DeleteBlob(1);
+    txn->PutBlob(3, blob(3));
+    HEAVEN_CHECK(txn->Commit().ok());
+    return std::move(engine).value();
+  };
+  uint64_t writes = 0;
+  {
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    std::unique_ptr<StorageEngine> engine = prepare(&env);
+    const uint64_t before = env.writes_issued();
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    writes = env.writes_issued() - before;
+  }
+  ASSERT_GT(writes, 0u);
+
+  for (uint64_t limit = 1; limit <= writes; ++limit) {
+    SCOPED_TRACE("crash after " + std::to_string(limit) + " writes");
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    {
+      std::unique_ptr<StorageEngine> engine = prepare(&env);
+      env.SetWriteLimit(limit);  // the power cut is armed
+      EXPECT_FALSE(engine->Checkpoint().ok());
+      engine.reset();  // the kill: the closing flush fails as well
+      env.ClearWriteLimit();
+    }
+    auto engine = StorageEngine::Open(&env, "/db", StorageOptions{}, &stats);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_FALSE((*engine)->blobs()->Exists(1));
+    for (BlobId blob_id : {4, 5}) {
+      ASSERT_TRUE((*engine)->PutBlobAtomic(blob_id, blob(blob_id)).ok());
+    }
+    for (BlobId blob_id : {2, 3, 4, 5}) {
+      auto got = (*engine)->blobs()->Get(blob_id);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(*got == blob(blob_id)) << "blob " << blob_id;
+    }
   }
 }
 
